@@ -5,7 +5,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from .graph import Graph, GraphError
+from .graph import Graph, GraphError, shortest_path
 
 
 class NotChordalError(ValueError):
@@ -76,32 +76,9 @@ def find_chordless_cycle(g: Graph) -> list[int] | None:
                 if g.has_edge(x, y):
                     continue
                 banned = (g.neighbors(v) | {v}) - {x, y}
-                path = _bfs_path(g, x, y, banned)
+                path = shortest_path(g, x, y, banned)
                 if path is not None:
                     return [v] + path
-    return None
-
-
-def _bfs_path(g: Graph, s: int, goal: int, banned: set[int]) -> list[int] | None:
-    prev: dict[int, int | None] = {s: None}
-    queue = [s]
-    while queue:
-        nxt: list[int] = []
-        for v in queue:
-            for w in g.sorted_neighbors(v):
-                if w in banned or w in prev:
-                    continue
-                prev[w] = v
-                if w == goal:
-                    path = [w]
-                    cur: int | None = v
-                    while cur is not None:
-                        path.append(cur)
-                        cur = prev[cur]
-                    path.reverse()
-                    return path
-                nxt.append(w)
-        queue = nxt
     return None
 
 
@@ -223,46 +200,36 @@ def _verify_vertex_subtrees(g: Graph, tree: CliqueTree) -> None:
 
 
 def split_partition(g: Graph) -> tuple[set[int], set[int]] | None:
-    """Canonical (clique side, independent side) or None if the graph is not split.
-
-    Vertices sorted by (degree descending, id ascending); the prefix of length h,
-    where h is the largest index with d_h >= h - 1, is the clique side exactly
-    when the degree-sequence identity holds.
-    """
-    if g.n == 0:
-        return set(), set()
-    order = sorted(g.vertices(), key=lambda v: (-g.degree(v), v))
-    degs = [g.degree(v) for v in order]
-    h = max(i + 1 for i in range(g.n) if degs[i] >= i)
-    if sum(degs[:h]) != h * (h - 1) + sum(degs[h:]):
+    """Canonical (clique side, independent side) or None if the graph is not split."""
+    try:
+        return require_split(g)
+    except NotSplitError:
         return None
-    kside, iside = set(order[:h]), set(order[h:])
-    if not g.is_clique(kside):
-        return None
-    for v in iside:
-        if g.neighbors(v) & iside:
-            return None
-    return kside, iside
 
 
 def require_split(g: Graph) -> tuple[set[int], set[int]]:
-    """Split partition, or NotSplitError naming a violating pair."""
-    parts = split_partition(g)
-    if parts is not None:
-        return parts
+    """Canonical split partition, or NotSplitError naming a violating pair.
+
+    Vertices sorted by (degree descending, id ascending); the prefix of length h,
+    where h is the largest index with d_h >= h - 1, is the clique side of every
+    split graph.  The graph is split exactly when that prefix is a clique and the
+    rest is independent; otherwise the lexicographically least non-adjacent
+    clique-side pair, or failing that the least independent-side edge, is the
+    witness.
+    """
     order = sorted(g.vertices(), key=lambda v: (-g.degree(v), v))
     degs = [g.degree(v) for v in order]
     h = max((i + 1 for i in range(g.n) if degs[i] >= i), default=0)
-    kside, iside = order[:h], sorted(order[h:])
-    for i, u in enumerate(sorted(kside)):
-        for v in sorted(kside)[i + 1 :]:
-            if not g.has_edge(u, v):
-                raise NotSplitError("non-adjacent pair on the clique side", (u, v))
-    for i, u in enumerate(iside):
-        for v in iside[i + 1 :]:
-            if g.has_edge(u, v):
-                raise NotSplitError("edge inside the independent side", (u, v))
-    raise GraphError("split partition missing but no violating pair found")
+    kside, iside = set(order[:h]), set(order[h:])
+    for u in sorted(kside):
+        missing = [v for v in kside - g.neighbors(u) if v > u]
+        if missing:
+            raise NotSplitError("non-adjacent pair on the clique side", (u, min(missing)))
+    for u in sorted(iside):
+        inside = [v for v in g.neighbors(u) & iside if v > u]
+        if inside:
+            raise NotSplitError("edge inside the independent side", (u, min(inside)))
+    return kside, iside
 
 
 def is_highlighted(g: Graph, iside: set[int], u: int, v: int) -> bool:

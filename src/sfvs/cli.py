@@ -149,7 +149,7 @@ def cmd_verify(args) -> int:
             args,
         )
         return 1
-    if len(solution) > max(inst.k, 0):
+    if len(solution) > inst.k:
         _emit(
             {
                 "valid": False,

@@ -3,7 +3,7 @@ witness-producing variant used by the edge-pruning kernel rule."""
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Iterable
 
 
@@ -41,19 +41,6 @@ class BipartiteView(object):
 
     def q_neighbors(self, q: int) -> set[int]:
         return self._q_adj[q]
-
-    def restricted(self, keep_p: set[int], keep_q: set[int]) -> "BipartiteView":
-        return BipartiteView(
-            self.side_p & keep_p,
-            self.side_q & keep_q,
-            (
-                (p, q)
-                for p, qs in self._p_adj.items()
-                if p in keep_p
-                for q in qs
-                if q in keep_q
-            ),
-        )
 
     def __repr__(self) -> str:
         return f"BipartiteView(|P|={len(self.side_p)}, |Q|={len(self.side_q)})"
@@ -186,9 +173,10 @@ def find_expansion(b: BipartiteView, t: int) -> ExpansionResult:
 def find_matching_expansion_with_witness(b: BipartiteView, t: int) -> ExpansionResult:
     """A t-expansion plus an unsaturated y-vertex; needs |Q| > t * matching number.
 
-    Accumulates extractions round by round on the shrinking graph until either
-    the extracted y outgrows t|x| or some leftover Q-vertex has no neighbors
-    left outside the accumulated x; both cases leave an unsaturated vertex.
+    A t-capacitated matching splits into t matchings, so it saturates at most
+    t * matching number Q-vertices and the precondition leaves one unsaturated.
+    :func:`_extract` then puts every unsaturated Q-vertex into y, and the
+    least of them is the witness.
     """
     if t < 1:
         raise ExpansionPreconditionError(f"t must be positive, got {t}")
@@ -198,31 +186,9 @@ def find_matching_expansion_with_witness(b: BipartiteView, t: int) -> ExpansionR
         raise ExpansionPreconditionError(
             f"|Q| = {len(b.side_q)} not above t * matching = {t * ell}"
         )
-
-    cur = b
-    acc_x: set[int] = set()
-    acc_y: set[int] = set()
-    acc_edges: set[tuple[int, int]] = set()
-    for _ in range(len(b.side_p) + len(b.side_q) + 1):
-        part = _extract(cur, t)
-        acc_x |= part.x
-        acc_y |= part.y
-        acc_edges |= part.expansion_edges
-        if len(part.y) > t * len(part.x):
-            break
-        rest_p = cur.side_p - part.x
-        loose = [q for q in sorted(cur.side_q - part.y) if not (cur.q_neighbors(q) & rest_p)]
-        if loose:
-            acc_y.add(loose[0])
-            break
-        cur = cur.restricted(rest_p, cur.side_q - part.y)
-    else:
-        raise ExpansionError("expansion accumulation failed to terminate")
-
-    saturated = {q for _, q in acc_edges}
-    witness = min(q for q in acc_y if q not in saturated)
-    res = ExpansionResult(
-        frozenset(acc_x), frozenset(acc_y), frozenset(acc_edges), witness
-    )
+    part = _extract(b, t)
+    saturated = {q for _, q in part.expansion_edges}
+    witness = min(q for q in part.y if q not in saturated)
+    res = replace(part, unsaturated_witness=witness)
     res.validate(b, t)
     return res

@@ -313,20 +313,25 @@ def find_terminal_cycle(g: Graph, terminals: set[int]) -> list[int] | None:
             if edge_key(t, u) in bridges:
                 continue
             # non-bridge: a t..u path survives removing the edge itself
-            path = _shortest_path(g, t, u, banned_edge=edge_key(t, u))
+            path = shortest_path(g.without_edge(t, u), t, u, set())
             if path is not None:
                 return path
     return None
 
 
-def _shortest_path(g: Graph, s: int, goal: int, banned_edge: tuple[int, int]) -> list[int] | None:
+def shortest_path(g: Graph, s: int, goal: int, banned: set[int]) -> list[int] | None:
+    """A shortest s..goal path avoiding the banned vertices, or None.
+
+    Breadth-first over sorted neighbours, so ties resolve to the same path
+    on every run.
+    """
     prev: dict[int, int | None] = {s: None}
     queue = [s]
     while queue:
         nxt: list[int] = []
         for v in queue:
             for w in g.sorted_neighbors(v):
-                if edge_key(v, w) == banned_edge or w in prev:
+                if w in banned or w in prev:
                     continue
                 prev[w] = v
                 if w == goal:
@@ -339,6 +344,35 @@ def _shortest_path(g: Graph, s: int, goal: int, banned_edge: tuple[int, int]) ->
                     return path
                 nxt.append(w)
         queue = nxt
+    return None
+
+
+def lonely_vertices(inst: Instance) -> list[int]:
+    """Non-terminals with no terminal neighbour, sorted.
+
+    Every cycle through such a vertex can be rerouted off it, so it is never
+    needed in a solution and never needed to witness one.  Loneliness
+    depends only on adjacency to terminals, so deleting lonely vertices
+    leaves every other lonely vertex lonely and all can go in one step.
+    """
+    g, terminals = inst.graph, inst.terminals
+    return [v for v in g.vertices() if v not in terminals and not (g.neighbors(v) & terminals)]
+
+
+def trivial_answer(inst: Instance) -> str | None:
+    """Decide an instance that needs no search ("yes"/"no"), else None.
+
+    In order: a negative budget means no; no terminal triangle means yes,
+    since in a chordal graph (split graphs included) every terminal cycle
+    spans a terminal triangle; an exhausted budget facing a terminal
+    triangle means no.
+    """
+    if inst.k < 0:
+        return "no"
+    if find_t_triangle(inst.graph, inst.terminals) is None:
+        return "yes"
+    if inst.k == 0:
+        return "no"
     return None
 
 

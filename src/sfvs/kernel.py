@@ -3,6 +3,10 @@
 The input graph is split into a fixed clique side K and independent side I.
 Nine reduction rules are applied first-match-exhaustively; each either
 decides the instance outright or shrinks it while preserving the answer.
+The three safe deletions (isolated vertices, non-terminals without a
+terminal neighbour, bridges) remove every match in one step, since deleting
+one match never stops another from matching; the other rules act on one
+vertex or edge per step.
 When no rule applies the surviving instance is a kernel: its clique side has
 at most 10k vertices, every clique-side vertex has at most k independent
 neighbours, and so the whole kernel has at most 10k + 10k^2 vertices.
@@ -23,7 +27,7 @@ from .expansion import (
     find_matching_expansion_with_witness,
     maximum_matching,
 )
-from .graph import GraphError, Instance, find_bridges, find_t_triangle
+from .graph import GraphError, Instance, find_bridges, lonely_vertices, trivial_answer
 from .trace import RuleTrace
 
 
@@ -44,9 +48,10 @@ class KernelState:
         self.instance.k += delta_k
         self.trace.add(rule, deleted_vertices=vs, picked=picked, delta_k=delta_k)
 
-    def delete_edge(self, u, v, rule):
-        self.instance.graph.remove_edge(u, v)
-        self.trace.add(rule, deleted_edges=[(u, v)])
+    def delete_edges(self, edges, rule):
+        for u, v in edges:
+            self.instance.graph.remove_edge(u, v)
+        self.trace.add(rule, deleted_edges=edges)
 
 
 @dataclass
@@ -109,24 +114,17 @@ def bipartite_around(v: int, state: KernelState) -> BipartiteView:
 def rule_yes_no(state: KernelState) -> str | None:
     """Decide trivial instances.
 
-    In order: no terminals means yes; an exhausted budget facing a terminal
-    triangle (or a negative budget) means no; no terminal triangle means
-    yes; a clique side within budget plus one means yes, as does a clique
-    side at budget plus two with some clique edge lacking a common
+    First the shared :func:`trivial_answer`; then the split-specific
+    checks: a clique side within budget plus one means yes, as does a
+    clique side at budget plus two with some clique edge lacking a common
     independent neighbour.
     """
     inst = state.instance
+    decided = trivial_answer(inst)
+    if decided is not None:
+        state.trace.add(f"decide-{decided}")
+        return decided
     g, k = inst.graph, inst.k
-    if not inst.terminals:
-        state.trace.add("decide-yes")
-        return "yes"
-    tri = find_t_triangle(g, inst.terminals)
-    if k < 0 or (k == 0 and tri is not None):
-        state.trace.add("decide-no")
-        return "no"
-    if tri is None:
-        state.trace.add("decide-yes")
-        return "yes"
     kside = sorted(state.clique_side)
     if len(kside) <= k + 1:
         state.trace.add("decide-yes")
@@ -141,39 +139,30 @@ def rule_yes_no(state: KernelState) -> str | None:
 
 
 def rule_delete_isolates(state: KernelState) -> bool | None:
-    """Delete the lowest isolated vertex; an isolate lies on no cycle."""
+    """Delete every isolated vertex; an isolate lies on no cycle."""
     g = state.instance.graph
-    for v in g.vertices():
-        if g.degree(v) == 0:
-            state.delete_vertices([v], "delete-isolated")
-            return True
-    return None
+    isolated = [v for v in g.vertices() if g.degree(v) == 0]
+    if not isolated:
+        return None
+    state.delete_vertices(isolated, "delete-isolated")
+    return True
 
 
 def rule_nonterminal_no_terminal_neighbor(state: KernelState) -> bool | None:
-    """Delete the lowest non-terminal with no terminal neighbour.
-
-    Every cycle through such a vertex can be rerouted off it, so it is never
-    needed in a solution and never needed to witness one.
-    """
-    inst = state.instance
-    g = inst.graph
-    for v in g.vertices():
-        if v in inst.terminals:
-            continue
-        if not (g.neighbors(v) & inst.terminals):
-            state.delete_vertices([v], "no-terminal-neighbor")
-            return True
-    return None
+    """Delete every non-terminal with no terminal neighbour (see :func:`lonely_vertices`)."""
+    lonely = lonely_vertices(state.instance)
+    if not lonely:
+        return None
+    state.delete_vertices(lonely, "no-terminal-neighbor")
+    return True
 
 
 def rule_delete_bridges(state: KernelState) -> bool | None:
-    """Delete the lowest bridge; bridges lie on no cycle."""
-    bridges = find_bridges(state.instance.graph)
+    """Delete every bridge; bridges lie on no cycle, and stay bridges as others go."""
+    bridges = sorted(find_bridges(state.instance.graph))
     if not bridges:
         return None
-    u, v = min(bridges)
-    state.delete_edge(u, v, "delete-bridge")
+    state.delete_edges(bridges, "delete-bridge")
     return True
 
 
@@ -226,7 +215,7 @@ def rule_degree_bound(state: KernelState) -> bool | None:
         b = bipartite_around(v, state)
         res = find_matching_expansion_with_witness(b, 1)
         w = res.unsaturated_witness
-        state.delete_edge(v, w, "degree-bound")
+        state.delete_edges([(v, w)], "degree-bound")
         return True
     return None
 

@@ -1,12 +1,15 @@
 """Branch-and-reduce solver for subset feedback vertex set on chordal graphs.
 
-A search node first drives five reduction rules to a fixpoint, then applies
-the least-indexed applicable branching rule.  Six local rules branch on a
-constant number of vertices around small simplicial cliques or big cliques;
-once none applies, every simplicial clique has exactly four vertices whose
-unique simplicial vertex is its only terminal, and a seventh rule branches
-over a deepest leaf clique of the clique tree together with two sibling
-leaf cliques.  Components whose clique tree has at most two nodes (hence at
+A search node first drives the reduction rules to a fixpoint, then takes the
+step :func:`applicable_branch` selects.  The reductions share the kernel's
+trivial decision and delete every match per pass: all clique components, all
+non-terminals without a terminal neighbour, all bridges.  Branching uses the
+least-indexed applicable rule.  Six local rules branch on a constant number
+of vertices around small simplicial cliques or big cliques; once none
+applies, every simplicial clique has exactly four vertices whose unique
+simplicial vertex is its only terminal, and a seventh rule branches over a
+deepest leaf clique of the clique tree together with two sibling leaf
+cliques.  Components whose clique tree has at most two nodes (hence at
 most eight vertices) are solved by brute force inside the node.
 
 All branch children delete the listed vertices, shrink the terminal set
@@ -28,8 +31,9 @@ from .graph import (
     all_t_triangles,
     connected_components,
     find_bridges,
-    find_t_triangle,
     is_t_forest,
+    lonely_vertices,
+    trivial_answer,
 )
 from .trace import RuleTrace, TraceEntry, make_entry
 
@@ -88,21 +92,18 @@ def reduce_fixpoint(inst: Instance, picks: set[int], path: list[TraceEntry]) -> 
 
     Returns "yes"/"no" when the instance is decided, else None with the
     instance mutated in place.  Picks and trace entries accumulate into the
-    caller's collections.
+    caller's collections.  Each rule handles every match in one pass: all
+    clique components (one trace entry each), all non-terminals without a
+    terminal neighbour, all bridges.
     """
     g = inst.graph
     while True:
-        if inst.k < 0:
-            path.append(make_entry("decide-no"))
-            return "no"
-        if find_t_triangle(g, inst.terminals) is None:
-            path.append(make_entry("decide-yes"))
-            return "yes"
-        if inst.k == 0:
-            path.append(make_entry("decide-no"))
-            return "no"
-        comp = _clique_component(g)
-        if comp is not None:
+        decided = trivial_answer(inst)
+        if decided is not None:
+            path.append(make_entry(f"decide-{decided}"))
+            return decided
+        cliques = [comp for comp in connected_components(g) if g.is_clique(comp)]
+        for comp in cliques:
             terms = inst.terminals & set(comp)
             nonterms = len(comp) - len(terms)
             if len(comp) <= 2 or not terms:
@@ -122,12 +123,9 @@ def reduce_fixpoint(inst: Instance, picks: set[int], path: list[TraceEntry]) -> 
                     delta_k=-len(picked),
                 )
             )
+        if cliques:
             continue
-        lonely = [
-            v
-            for v in g.vertices()
-            if v not in inst.terminals and not (g.neighbors(v) & inst.terminals)
-        ]
+        lonely = lonely_vertices(inst)
         if lonely:
             inst.remove_vertices(lonely)
             path.append(make_entry("no-terminal-neighbor", deleted_vertices=lonely))
@@ -141,13 +139,6 @@ def reduce_fixpoint(inst: Instance, picks: set[int], path: list[TraceEntry]) -> 
             path.append(make_entry("delete-bridges", deleted_edges=sorted(bridges)))
             continue
         return None
-
-
-def _clique_component(g: Graph) -> list[int] | None:
-    for comp in connected_components(g):
-        if g.is_clique(comp):
-            return comp
-    return None
 
 
 def _simple_branch(inst: Instance):
@@ -253,8 +244,7 @@ def select_mega_context(g: Graph, terminals: set[int], tree: CliqueTree | None =
     internal = [i for i in range(len(tree.cliques)) if tree.degree(i) >= 2]
     root = min(internal)
     parent, children, depth = tree.rooted(root)
-    leaves = [i for i in range(len(tree.cliques)) if tree.degree(i) <= 1]
-    c_ell_idx = max(leaves, key=lambda i: (depth[i], -i))
+    c_ell_idx = max(tree.leaves(), key=lambda i: (depth[i], -i))
     c_ell = set(tree.cliques[c_ell_idx])
     t, c_ell_terms = _leaf_terminal(g, terminals, c_ell)
     p_idx = parent[c_ell_idx]
@@ -336,11 +326,12 @@ def mega_children(ctx: MegaBranchContext) -> list[tuple[set[int], set[int]]]:
 
 
 def applicable_branch(inst: Instance):
-    """The branch the solver would take on an already-reduced instance.
+    """The step the solver takes on an already-reduced instance.
 
-    Mirrors the search loop: local rules first, then the leaf-cascade rule
-    on the first component, unless that component is small enough for brute
-    force (returns None then, as for fully reduced instances).
+    Local rules first.  Otherwise the first component either is small
+    enough for brute force, returned as ("small-component", [(component,
+    minimum hitting set within budget, or None)]), or gets the
+    leaf-cascade rule.  None on an empty graph.
     """
     spec = _simple_branch(inst)
     if spec is not None:
@@ -350,10 +341,12 @@ def applicable_branch(inst: Instance):
         return None
     comp = comps[0]
     sub = inst.graph.induced(comp)
+    terminals = inst.terminals & set(comp)
     tree = build_clique_tree(sub)
     if len(tree.cliques) <= 2:
-        return None
-    ctx = select_mega_context(sub, inst.terminals & set(comp), tree)
+        best = _min_hitting(sub, terminals, min(inst.k, len(comp)))
+        return "small-component", [(comp, best)]
+    ctx = select_mega_context(sub, terminals, tree)
     return "sibling-leaf-cliques", mega_children(ctx)
 
 
@@ -382,30 +375,23 @@ def _search(inst: Instance, depth: int, stats: _Stats):
             return True, picks, path
         if outcome == "no":
             return False, set(), path
-        spec = _simple_branch(inst)
-        if spec is None:
-            comp = connected_components(inst.graph)[0]
-            sub = inst.graph.induced(comp)
-            tree = build_clique_tree(sub)
-            if len(tree.cliques) <= 2:
-                best = _min_hitting(sub, inst.terminals & set(comp), min(inst.k, len(comp)))
-                if best is None:
-                    return False, set(), path
-                inst.remove_vertices(comp)
-                inst.k -= len(best)
-                picks |= best
-                path.append(
-                    make_entry(
-                        "small-component",
-                        deleted_vertices=comp,
-                        picked=sorted(best),
-                        delta_k=-len(best),
-                    )
+        rule, branches = applicable_branch(inst)
+        if rule == "small-component":
+            (comp, best), = branches
+            if best is None:
+                return False, set(), path
+            inst.remove_vertices(comp)
+            inst.k -= len(best)
+            picks |= best
+            path.append(
+                make_entry(
+                    "small-component",
+                    deleted_vertices=comp,
+                    picked=sorted(best),
+                    delta_k=-len(best),
                 )
-                continue
-            ctx = select_mega_context(sub, inst.terminals & set(comp), tree)
-            spec = "sibling-leaf-cliques", mega_children(ctx)
-        rule, branches = spec
+            )
+            continue
         for deleted, picked in branches:
             if len(picked) > inst.k:
                 # the child would start with a negative budget, an
@@ -436,7 +422,7 @@ def solve(inst: Instance) -> SolveResult:
     found, picks, path = _search(inst.copy(), 0, stats)
     if not found:
         return SolveResult(False, None, stats.nodes, stats.max_depth, RuleTrace())
-    if len(picks) > max(inst.k, 0):
+    if len(picks) > inst.k:
         raise GraphError("solver assembled an oversized solution")
     remaining = inst.graph.without_vertices(picks)
     if not is_t_forest(remaining, inst.terminals - picks):

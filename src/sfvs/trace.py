@@ -9,7 +9,6 @@ against the input instance and require the result to match the output.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass, field
 
 
@@ -65,18 +64,11 @@ class RuleTrace:
     def rules(self) -> list[str]:
         return [s.rule for s in self.steps]
 
-    def total_delta_k(self) -> int:
-        return sum(s.delta_k for s in self.steps)
-
     def picked_vertices(self) -> set[int]:
         out = set()
         for s in self.steps:
             out |= set(s.picked)
         return out
-
-    def to_json_lines(self) -> str:
-        """One JSON object per line, in application order."""
-        return "\n".join(json.dumps(s.to_dict(), sort_keys=True) for s in self.steps)
 
     def __len__(self):
         return len(self.steps)

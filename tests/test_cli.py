@@ -161,6 +161,17 @@ class TestVerifyCommand:
         code, out, _ = run(capsys, "verify", "-i", path, "--solution", "9")
         assert code == 1 and "unknown" in json.loads(out)["reason"]
 
+    def test_negative_budget_agrees_with_solve(self, capsys, tmp_path):
+        # a triangle-free path: the empty set hits every terminal cycle,
+        # but no set fits a budget of -1
+        path = write_instance(tmp_path, "p sfvs 3 2 -1\ne 1 2\ne 2 3\nt 1\n")
+        code, out, _ = run(capsys, "verify", "-i", path, "--solution", "")
+        payload = json.loads(out)
+        assert code == 1 and payload["valid"] is False
+        assert "exceeds budget" in payload["reason"]
+        code, out, _ = run(capsys, "solve", "-i", path)
+        assert code == 1 and json.loads(out)["answer"] == "no"
+
 
 class TestGenCommand:
     def test_deterministic_bytes(self, capsys):

@@ -76,11 +76,6 @@ class TestBipartiteView:
         with pytest.raises(ExpansionError):
             BipartiteView([1], [2], [(1, 3)])
 
-    def test_restricted(self):
-        b = BipartiteView([1, 2], [5, 6], [(1, 5), (2, 6)])
-        r = b.restricted({1}, {5, 6})
-        assert r.side_p == {1} and r.edges() == [(1, 5)]
-
 
 class TestMaximumMatching:
     def test_simple(self):

@@ -142,6 +142,11 @@ class TestTrivialDecisions:
         out = kernelize(Instance(g, {1}, -1))
         assert out.kind == "no"
 
+    def test_negative_budget_without_terminals(self):
+        inst = split_instance([1, 2], {3: [1, 2]}, set(), -1)
+        out = kernelize(inst)
+        assert out.kind == "no" and out.trace.rules() == ["decide-no"]
+
     def test_no_triangle_zero_budget(self):
         g = Graph([1, 2], [(1, 2)])
         out = kernelize(Instance(g, {1}, 0))
@@ -180,28 +185,38 @@ class TestRuleFirings:
     def test_delete_isolated(self):
         inst = covered_triangle_base({4, 5, 6, 7}, 1)
         inst.graph.add_vertex(7)
+        inst.graph.add_vertex(8)
         state = self.check_step(inst, "delete-isolated")
-        assert 7 not in state.instance.graph
+        assert len(state.trace) == 1
+        assert state.trace.steps[-1].deleted_vertices == (7, 8)
+        assert 7 not in state.instance.graph and 8 not in state.instance.graph
         assert 7 not in state.instance.terminals
         assert state.instance.k == 1
 
     def test_no_terminal_neighbor(self):
         inst = covered_triangle_base({4, 5, 6}, 1)
-        inst.graph.add_vertex(7)
-        inst.graph.add_edge(7, 1)
-        inst.graph.add_edge(7, 2)
+        for v, nbrs in ((7, (1, 2)), (8, (2, 3))):
+            inst.graph.add_vertex(v)
+            for u in nbrs:
+                inst.graph.add_edge(v, u)
         state = self.check_step(inst, "no-terminal-neighbor")
-        assert 7 not in state.instance.graph
+        assert len(state.trace) == 1
+        assert state.trace.steps[-1].deleted_vertices == (7, 8)
+        assert 7 not in state.instance.graph and 8 not in state.instance.graph
         assert state.instance.k == 1
 
     def test_delete_bridge(self):
-        inst = covered_triangle_base({4, 5, 6, 7}, 1)
+        inst = covered_triangle_base({4, 5, 6, 7, 8}, 1)
         inst.graph.add_vertex(7)
         inst.graph.add_edge(7, 1)
+        inst.graph.add_vertex(8)
+        inst.graph.add_edge(8, 2)
         state = self.check_step(inst, "delete-bridge")
-        assert state.trace.steps[-1].deleted_edges == ((1, 7),)
+        assert len(state.trace) == 1
+        assert state.trace.steps[-1].deleted_edges == ((1, 7), (2, 8))
         assert 7 in state.instance.graph
         assert state.instance.graph.degree(7) == 0
+        assert state.instance.graph.degree(8) == 0
 
     def test_pick_clique_terminal(self):
         inst = covered_triangle_base({3, 4, 5, 6}, 1)

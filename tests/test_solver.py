@@ -193,6 +193,17 @@ class TestReduceFixpoint:
         assert path[0].deleted_vertices == (1, 2) and path[0].picked == ()
         assert picks == {3}
 
+    def test_all_clique_components_go_in_one_pass(self):
+        # the terminal-free edge goes in the same pass as the triangle, so
+        # it is removed before the now triangle-free instance is decided
+        g = complete([1, 2, 3])
+        add_clique(g, [4, 5])
+        inst = Instance(g, {1}, 1)
+        outcome, picks, rules, path = self.run_reduce(inst)
+        assert outcome == "yes" and picks == {1}
+        assert rules == ["clique-component", "clique-component", "decide-yes"]
+        assert [e.deleted_vertices for e in path[:2]] == [(1, 2, 3), (4, 5)]
+
     def test_pendant_edge_is_bridged_then_swept(self):
         g = complete([1, 2, 3])
         g.add_vertex(4)
@@ -290,6 +301,14 @@ class TestBranchSelection:
             ({1, 3}, {1, 3}),
             ({7, 8}, {7, 8}),
         ]
+
+    def test_small_component(self):
+        # two K4s sharing the edge 3-4: a two-node clique tree that no local
+        # rule touches, so the component is solved by brute force
+        g = complete([1, 2, 3, 4])
+        add_clique(g, [3, 4, 5, 6])
+        inst = Instance(g, set(), 1)
+        assert applicable_branch(inst) == ("small-component", [([1, 2, 3, 4, 5, 6], set())])
 
     def test_reduced_instances_reach_each_rule(self):
         # every construction above sits at a reduce fixpoint already
