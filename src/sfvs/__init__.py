@@ -43,8 +43,6 @@ from .kernel import KernelOutcome, kernelize
 from .oracle import (
     ORACLE_VERTEX_CAP,
     OracleGuardError,
-    export_3hs,
-    format_3hs,
     oracle_decide,
     vc_to_sfvs,
 )
@@ -75,12 +73,10 @@ __all__ = [
     "SolveResult",
     "TraceEntry",
     "build_clique_tree",
-    "export_3hs",
     "find_bridges",
     "find_expansion",
     "find_matching_expansion_with_witness",
     "find_terminal_cycle",
-    "format_3hs",
     "format_instance",
     "generate",
     "generate_text",

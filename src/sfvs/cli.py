@@ -34,7 +34,6 @@ from .graph import (
     ParseError,
     find_terminal_cycle,
     format_instance,
-    is_t_forest,
     parse_instance,
 )
 from .kernel import kernelize
@@ -160,11 +159,10 @@ def cmd_verify(args) -> int:
         )
         return 1
     remaining = inst.graph.without_vertices(solution)
-    terminals = inst.terminals - solution
-    if is_t_forest(remaining, terminals):
+    cycle = find_terminal_cycle(remaining, inst.terminals - solution)
+    if cycle is None:
         _emit({"valid": True, "witness_cycle": None, "reason": None}, args)
         return 0
-    cycle = find_terminal_cycle(remaining, terminals)
     _emit(
         {"valid": False, "witness_cycle": cycle, "reason": "terminal cycle survives"},
         args,

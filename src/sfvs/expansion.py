@@ -84,12 +84,25 @@ class ExpansionResult:
 
 
 def _augment(b: BipartiteView, p: int, match_q: dict[int, int], visited: set[int]) -> bool:
-    for q in sorted(b.p_neighbors(p)):
-        if q in visited:
-            continue
-        visited.add(q)
-        if q not in match_q or _augment(b, match_q[q], match_q, visited):
-            match_q[q] = p
+    """Depth-first search for an augmenting path from p; flip it if found.
+
+    Frames are (P-vertex, Q-vertex it was reached through, iterator over its
+    sorted neighbours) on an explicit stack, so long alternating paths never
+    meet Python's recursion limit.
+    """
+    stack = [(p, None, iter(sorted(b.p_neighbors(p))))]
+    while stack:
+        q = next((q for q in stack[-1][2] if q not in visited), None)
+        if q is None:
+            stack.pop()
+        elif q in match_q:
+            visited.add(q)
+            owner = match_q[q]
+            stack.append((owner, q, iter(sorted(b.p_neighbors(owner)))))
+        else:
+            match_q[q] = stack[-1][0]
+            for (owner, _, _), (_, via, _) in zip(stack, stack[1:]):
+                match_q[via] = owner
             return True
     return False
 

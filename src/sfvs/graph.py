@@ -347,18 +347,6 @@ def shortest_path(g: Graph, s: int, goal: int, banned: set[int]) -> list[int] | 
     return None
 
 
-def lonely_vertices(inst: Instance) -> list[int]:
-    """Non-terminals with no terminal neighbour, sorted.
-
-    Every cycle through such a vertex can be rerouted off it, so it is never
-    needed in a solution and never needed to witness one.  Loneliness
-    depends only on adjacency to terminals, so deleting lonely vertices
-    leaves every other lonely vertex lonely and all can go in one step.
-    """
-    g, terminals = inst.graph, inst.terminals
-    return [v for v in g.vertices() if v not in terminals and not (g.neighbors(v) & terminals)]
-
-
 def trivial_answer(inst: Instance) -> str | None:
     """Decide an instance that needs no search ("yes"/"no"), else None.
 

@@ -5,8 +5,11 @@ Nine reduction rules are applied first-match-exhaustively; each either
 decides the instance outright or shrinks it while preserving the answer.
 The three safe deletions (isolated vertices, non-terminals without a
 terminal neighbour, bridges) remove every match in one step, since deleting
-one match never stops another from matching; the other rules act on one
-vertex or edge per step.
+one match never stops another from matching; the last two are the solver's
+:func:`~sfvs.solver.safe_deletion`.  The other rules act on one vertex or
+edge per step.  Every rule returns the :class:`~sfvs.trace.TraceEntry` it
+would perform, decisions included, and :meth:`KernelState.apply` performs
+it, so the kernel's trace is its edit script.
 When no rule applies the surviving instance is a kernel: its clique side has
 at most 10k vertices, every clique-side vertex has at most k independent
 neighbours, and so the whole kernel has at most 10k + 10k^2 vertices.
@@ -27,8 +30,12 @@ from .expansion import (
     find_matching_expansion_with_witness,
     maximum_matching,
 )
-from .graph import GraphError, Instance, find_bridges, lonely_vertices, trivial_answer
-from .trace import RuleTrace
+from .graph import GraphError, Instance, trivial_answer
+from .solver import safe_deletion
+from .trace import RuleTrace, TraceEntry, apply_step, make_entry
+
+# entries that decide the instance, and the answer each one gives
+DECISIONS = {"decide-yes": "yes", "decide-no": "no", "packing-exceeds-budget": "no"}
 
 
 @dataclass
@@ -40,18 +47,12 @@ class KernelState:
     indep_side: set[int]
     trace: RuleTrace
 
-    def delete_vertices(self, vs, rule, picked=(), delta_k=0):
-        vs = sorted(set(vs))
-        self.instance.remove_vertices(vs)
-        self.clique_side -= set(vs)
-        self.indep_side -= set(vs)
-        self.instance.k += delta_k
-        self.trace.add(rule, deleted_vertices=vs, picked=picked, delta_k=delta_k)
-
-    def delete_edges(self, edges, rule):
-        for u, v in edges:
-            self.instance.graph.remove_edge(u, v)
-        self.trace.add(rule, deleted_edges=edges)
+    def apply(self, step: TraceEntry) -> None:
+        """Perform ``step``, restrict the partition to survivors, record it."""
+        apply_step(self.instance, step)
+        self.clique_side -= set(step.deleted_vertices)
+        self.indep_side -= set(step.deleted_vertices)
+        self.trace.steps.append(step)
 
 
 @dataclass
@@ -111,7 +112,7 @@ def bipartite_around(v: int, state: KernelState) -> BipartiteView:
     return BipartiteView(side_p, side_q, edges)
 
 
-def rule_yes_no(state: KernelState) -> str | None:
+def rule_yes_no(state: KernelState) -> TraceEntry | None:
     """Decide trivial instances.
 
     First the shared :func:`trivial_answer`; then the split-specific
@@ -122,51 +123,29 @@ def rule_yes_no(state: KernelState) -> str | None:
     inst = state.instance
     decided = trivial_answer(inst)
     if decided is not None:
-        state.trace.add(f"decide-{decided}")
-        return decided
+        return make_entry(f"decide-{decided}")
     g, k = inst.graph, inst.k
     kside = sorted(state.clique_side)
     if len(kside) <= k + 1:
-        state.trace.add("decide-yes")
-        return "yes"
+        return make_entry("decide-yes")
     if len(kside) == k + 2:
         for i, u in enumerate(kside):
             for v in kside[i + 1:]:
                 if not is_highlighted(g, state.indep_side, u, v):
-                    state.trace.add("decide-yes")
-                    return "yes"
+                    return make_entry("decide-yes")
     return None
 
 
-def rule_delete_isolates(state: KernelState) -> bool | None:
+def rule_delete_isolates(state: KernelState) -> TraceEntry | None:
     """Delete every isolated vertex; an isolate lies on no cycle."""
     g = state.instance.graph
     isolated = [v for v in g.vertices() if g.degree(v) == 0]
     if not isolated:
         return None
-    state.delete_vertices(isolated, "delete-isolated")
-    return True
+    return make_entry("delete-isolated", deleted_vertices=isolated)
 
 
-def rule_nonterminal_no_terminal_neighbor(state: KernelState) -> bool | None:
-    """Delete every non-terminal with no terminal neighbour (see :func:`lonely_vertices`)."""
-    lonely = lonely_vertices(state.instance)
-    if not lonely:
-        return None
-    state.delete_vertices(lonely, "no-terminal-neighbor")
-    return True
-
-
-def rule_delete_bridges(state: KernelState) -> bool | None:
-    """Delete every bridge; bridges lie on no cycle, and stay bridges as others go."""
-    bridges = sorted(find_bridges(state.instance.graph))
-    if not bridges:
-        return None
-    state.delete_edges(bridges, "delete-bridge")
-    return True
-
-
-def rule_pick_clique_terminals(state: KernelState) -> bool | None:
+def rule_pick_clique_terminals(state: KernelState) -> TraceEntry | None:
     """Pick the lowest clique-side terminal into the solution.
 
     Once earlier rules are exhausted every vertex lies on a terminal
@@ -175,12 +154,11 @@ def rule_pick_clique_terminals(state: KernelState) -> bool | None:
     """
     inst = state.instance
     for t in sorted(state.clique_side & inst.terminals):
-        state.delete_vertices([t], "pick-clique-terminal", picked=[t], delta_k=-1)
-        return True
+        return make_entry("pick-clique-terminal", deleted_vertices=[t], picked=[t])
     return None
 
 
-def rule_max_matching(state: KernelState) -> bool | None:
+def rule_max_matching(state: KernelState) -> TraceEntry | None:
     """Pick a clique-side vertex with a budget-exceeding local matching.
 
     A matching of size k+1 in the bipartite graph around v yields k+1
@@ -194,12 +172,11 @@ def rule_max_matching(state: KernelState) -> bool | None:
         if min(len(b.side_p), len(b.side_q)) <= k:
             continue
         if len(maximum_matching(b)) >= k + 1:
-            state.delete_vertices([v], "max-matching", picked=[v], delta_k=-1)
-            return True
+            return make_entry("max-matching", deleted_vertices=[v], picked=[v])
     return None
 
 
-def rule_degree_bound(state: KernelState) -> bool | None:
+def rule_degree_bound(state: KernelState) -> TraceEntry | None:
     """Detach a redundant independent neighbour from a high-degree vertex.
 
     If v keeps more than k independent neighbours once the matching rule is
@@ -215,8 +192,7 @@ def rule_degree_bound(state: KernelState) -> bool | None:
         b = bipartite_around(v, state)
         res = find_matching_expansion_with_witness(b, 1)
         w = res.unsaturated_witness
-        state.delete_edges([(v, w)], "degree-bound")
-        return True
+        return make_entry("degree-bound", deleted_edges=[(v, w)])
     return None
 
 
@@ -252,7 +228,7 @@ def build_approx_partition(state: KernelState) -> ApproxPartition | None:
     return ApproxPartition(s_tilde, k_s, i_s, k0, k1, i0, i1)
 
 
-def rule_bound_k0(state: KernelState, ap: ApproxPartition) -> bool | None:
+def rule_bound_k0(state: KernelState, ap: ApproxPartition) -> TraceEntry | None:
     """Shrink the clique-side class covered by the packing's independent part.
 
     When k0 outnumbers i_s two to one, a 2-expansion from i_s into k0 finds
@@ -265,12 +241,10 @@ def rule_bound_k0(state: KernelState, ap: ApproxPartition) -> bool | None:
     edges = [(p, q) for q in sorted(ap.k0) for p in g.neighbors(q) & ap.i_s]
     view = BipartiteView(ap.i_s, ap.k0, edges)
     res = find_expansion(view, 2)
-    x = sorted(res.x)
-    state.delete_vertices(x, "bound-k0", picked=x, delta_k=-len(x))
-    return True
+    return make_entry("bound-k0", deleted_vertices=res.x, picked=res.x)
 
 
-def rule_bound_k1(state: KernelState, ap: ApproxPartition) -> bool | None:
+def rule_bound_k1(state: KernelState, ap: ApproxPartition) -> TraceEntry | None:
     """Shrink the clique-side class reaching outside the packing.
 
     The auxiliary bipartite graph joins the packing to k1: independent
@@ -290,9 +264,7 @@ def rule_bound_k1(state: KernelState, ap: ApproxPartition) -> bool | None:
                 edges.append((p, q))
     view = BipartiteView(ap.s_tilde, ap.k1, edges)
     res = find_expansion(view, 2)
-    x = sorted(res.x)
-    state.delete_vertices(x, "bound-k1", picked=x, delta_k=-len(x))
-    return True
+    return make_entry("bound-k1", deleted_vertices=res.x, picked=res.x)
 
 
 def kernel_state(inst: Instance) -> KernelState:
@@ -305,34 +277,33 @@ def kernel_state(inst: Instance) -> KernelState:
     return KernelState(inst.copy(), set(kside), set(iside), RuleTrace())
 
 
+def rule_packing(state: KernelState) -> TraceEntry | None:
+    """Decide no on an overfull packing, else try the two bound rules on it."""
+    ap = build_approx_partition(state)
+    if ap is None:
+        return make_entry("packing-exceeds-budget")
+    return rule_bound_k0(state, ap) or rule_bound_k1(state, ap)
+
+
 def kernel_step(state: KernelState) -> str | bool | None:
     """Apply the least-indexed applicable rule once.
 
     Returns "yes"/"no" for a decision, True when a rule edited the
     instance, and None when the state is fully reduced.
     """
-    decided = rule_yes_no(state)
-    if decided is not None:
-        return decided
-    for rule in (
-        rule_delete_isolates,
-        rule_nonterminal_no_terminal_neighbor,
-        rule_delete_bridges,
-        rule_pick_clique_terminals,
-        rule_max_matching,
-        rule_degree_bound,
-    ):
-        if rule(state):
-            return True
-    ap = build_approx_partition(state)
-    if ap is None:
-        state.trace.add("packing-exceeds-budget")
-        return "no"
-    if rule_bound_k0(state, ap):
-        return True
-    if rule_bound_k1(state, ap):
-        return True
-    return None
+    step = (
+        rule_yes_no(state)
+        or rule_delete_isolates(state)
+        or safe_deletion(state.instance)
+        or rule_pick_clique_terminals(state)
+        or rule_max_matching(state)
+        or rule_degree_bound(state)
+        or rule_packing(state)
+    )
+    if step is None:
+        return None
+    state.apply(step)
+    return DECISIONS.get(step.rule, True)
 
 
 def kernelize(inst: Instance) -> KernelOutcome:

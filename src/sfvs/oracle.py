@@ -1,12 +1,11 @@
-"""Exact subset-enumeration baselines: decision oracle, 3-hitting-set export,
-vertex-cover reduction. Deliberately simple; guarded by an instance-size cap."""
+"""Exact subset-enumeration baselines: decision oracle and vertex-cover
+reduction. Deliberately simple; guarded by an instance-size cap."""
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from itertools import combinations
 
-from .chordal import chordality_order, require_chordal
+from .chordal import chordality_order
 from .graph import Graph, Instance, all_t_triangles
 
 ORACLE_VERTEX_CAP = 24
@@ -29,15 +28,15 @@ def oracle_decide(
     if n > max_n:
         raise OracleGuardError(f"|V| = {n} exceeds the oracle cap {max_n}")
     inst.validate()
-    if inst.k < 0:
-        return False, None
     if method not in ("auto", "triangles", "cycles"):
         raise ValueError(f"unknown oracle method {method!r}")
+    if method == "triangles" and chordality_order(inst.graph) is None:
+        raise ValueError("triangle-based oracle requires a chordal graph")
+    if inst.k < 0:
+        return False, None
     if method == "auto":
         method = "triangles" if chordality_order(inst.graph) is not None else "cycles"
     if method == "triangles":
-        if chordality_order(inst.graph) is None:
-            raise ValueError("triangle-based oracle requires a chordal graph")
         return _decide_triangles(inst)
     return _decide_cycles(inst)
 
@@ -93,32 +92,6 @@ def _on_cycle(g: Graph, v: int) -> bool:
             return False
         start = min(rest)
         rest -= {start}
-
-
-@dataclass
-class HittingSetInstance:
-    """3-element hitting set instance: universe, triples, budget."""
-
-    universe: list[int]
-    sets: list[tuple[int, int, int]]
-    budget: int
-
-
-def export_3hs(inst: Instance) -> HittingSetInstance:
-    """Terminal-triangle hitting set equivalent of a chordal instance."""
-    require_chordal(inst.graph)
-    inst.validate()
-    triples = [tuple(t) for t in all_t_triangles(inst.graph, inst.terminals)]
-    return HittingSetInstance(inst.graph.vertices(), triples, inst.k)
-
-
-def format_3hs(hs: HittingSetInstance) -> str:
-    """Serialize with ids renumbered to 1..|U|; one 's' line per triple."""
-    rank = {v: i + 1 for i, v in enumerate(hs.universe)}
-    lines = [f"p 3hs {len(hs.universe)} {len(hs.sets)} {hs.budget}"]
-    for a, b, c in hs.sets:
-        lines.append(f"s {rank[a]} {rank[b]} {rank[c]}")
-    return "\n".join(lines) + "\n"
 
 
 def vc_to_sfvs(g: Graph, k: int) -> Instance:

@@ -3,39 +3,39 @@
 A search node first drives the reduction rules to a fixpoint, then takes the
 step :func:`applicable_branch` selects.  The reductions share the kernel's
 trivial decision and delete every match per pass: all clique components, all
-non-terminals without a terminal neighbour, all bridges.  Branching uses the
+non-terminals without a terminal neighbour, all bridges (the last two are
+:func:`safe_deletion`, which the kernel uses too).  Branching uses the
 least-indexed applicable rule.  Six local rules branch on a constant number
 of vertices around small simplicial cliques or big cliques; once none
 applies, every simplicial clique has exactly four vertices whose unique
 simplicial vertex is its only terminal, and a seventh rule branches over a
 deepest leaf clique of the clique tree together with two sibling leaf
-cliques.  Components whose clique tree has at most two nodes (hence at
-most eight vertices) are solved by brute force inside the node.
+cliques.  A reduced component whose clique tree has at most two nodes
+always meets one of the six local rules, so the seventh always finds a tree
+of at least three nodes.
 
-All branch children delete the listed vertices, shrink the terminal set
-accordingly and decrement the budget by the number of picked vertices, so a
-YES answer assembles its solution from the picks along one root-to-leaf
-path.  The solution is re-verified against the untouched input graph.
+Every reduction and every branch child is a :class:`~sfvs.trace.TraceEntry`
+performed by :func:`~sfvs.trace.apply_step`: it deletes the listed vertices
+(terminals among them) and lowers the budget by the number picked.  A YES
+answer is the trace of one root-to-leaf path, and its solution is the picks
+on that trace, re-verified against the untouched input graph.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import combinations
 
-from .chordal import CliqueTree, build_clique_tree, maximal_cliques, require_chordal
+from .chordal import build_clique_tree, maximal_cliques, require_chordal
 from .graph import (
     Graph,
     GraphError,
     Instance,
-    all_t_triangles,
     connected_components,
     find_bridges,
     is_t_forest,
-    lonely_vertices,
     trivial_answer,
 )
-from .trace import RuleTrace, TraceEntry, make_entry
+from .trace import RuleTrace, TraceEntry, apply_step, make_entry
 
 
 @dataclass
@@ -87,58 +87,74 @@ class _Stats:
         self.max_depth = 0
 
 
+def safe_deletion(inst: Instance) -> TraceEntry | None:
+    """Delete every lonely non-terminal, or else every bridge; else None.
+
+    A non-terminal with no terminal neighbour is lonely: every cycle through
+    it can be rerouted off it, so it is never needed in a solution and never
+    needed to witness one.  Loneliness depends only on adjacency to
+    terminals, so all lonely vertices can go in one step.  A bridge lies on
+    no cycle, and deleting one bridge never puts another on a cycle, so all
+    bridges can go in one step too.
+    """
+    g, terminals = inst.graph, inst.terminals
+    lonely = [v for v in g.vertices() if v not in terminals and not (g.neighbors(v) & terminals)]
+    if lonely:
+        return make_entry("no-terminal-neighbor", deleted_vertices=lonely)
+    bridges = find_bridges(g)
+    if bridges:
+        return make_entry("delete-bridge", deleted_edges=bridges)
+    return None
+
+
+def _clique_components(inst: Instance) -> list[TraceEntry]:
+    """One ``clique-component`` entry per component that is a clique.
+
+    What survives of a clique must be at most two vertices or free of
+    terminals, so the entry picks the cheaper: all but two vertices when at
+    most two non-terminals remain, else the terminals.  Cliques of at most
+    two vertices and terminal-free cliques go with no pick.
+    """
+    g = inst.graph
+    steps = []
+    for comp in connected_components(g):
+        if not g.is_clique(comp):
+            continue
+        terms = inst.terminals & set(comp)
+        nonterms = len(comp) - len(terms)
+        if len(comp) <= 2 or not terms:
+            picked = []
+        elif nonterms <= 2:
+            picked = comp[: len(comp) - 2]
+        else:
+            picked = terms
+        steps.append(make_entry("clique-component", deleted_vertices=comp, picked=picked))
+    return steps
+
+
 def reduce_fixpoint(inst: Instance, picks: set[int], path: list[TraceEntry]) -> str | None:
     """Apply the solver's reduction rules until none fires.
 
     Returns "yes"/"no" when the instance is decided, else None with the
     instance mutated in place.  Picks and trace entries accumulate into the
-    caller's collections.  Each rule handles every match in one pass: all
-    clique components (one trace entry each), all non-terminals without a
-    terminal neighbour, all bridges.
+    caller's collections.  Each pass performs every clique component (one
+    trace entry each) or else one :func:`safe_deletion`.
     """
-    g = inst.graph
     while True:
         decided = trivial_answer(inst)
         if decided is not None:
             path.append(make_entry(f"decide-{decided}"))
             return decided
-        cliques = [comp for comp in connected_components(g) if g.is_clique(comp)]
-        for comp in cliques:
-            terms = inst.terminals & set(comp)
-            nonterms = len(comp) - len(terms)
-            if len(comp) <= 2 or not terms:
-                picked = []
-            elif nonterms <= 2:
-                picked = sorted(comp)[: len(comp) - 2]
-            else:
-                picked = sorted(terms)
-            inst.remove_vertices(comp)
-            inst.k -= len(picked)
-            picks |= set(picked)
-            path.append(
-                make_entry(
-                    "clique-component",
-                    deleted_vertices=comp,
-                    picked=picked,
-                    delta_k=-len(picked),
-                )
-            )
-        if cliques:
-            continue
-        lonely = lonely_vertices(inst)
-        if lonely:
-            inst.remove_vertices(lonely)
-            path.append(make_entry("no-terminal-neighbor", deleted_vertices=lonely))
-            continue
-        bridges = find_bridges(g)
-        if bridges:
-            # deleting one bridge never turns another edge into a cycle
-            # member, so all current bridges can go at once
-            for u, v in sorted(bridges):
-                g.remove_edge(u, v)
-            path.append(make_entry("delete-bridges", deleted_edges=sorted(bridges)))
-            continue
-        return None
+        steps = _clique_components(inst)
+        if not steps:
+            step = safe_deletion(inst)
+            if step is None:
+                return None
+            steps = [step]
+        for step in steps:
+            apply_step(inst, step)
+            picks |= set(step.picked)
+            path.append(step)
 
 
 def _simple_branch(inst: Instance):
@@ -229,7 +245,7 @@ def _simple_branch(inst: Instance):
     return None
 
 
-def select_mega_context(g: Graph, terminals: set[int], tree: CliqueTree | None = None) -> MegaBranchContext:
+def select_mega_context(g: Graph, terminals: set[int]) -> MegaBranchContext:
     """Locate the deepest leaf clique and two sibling leaves for branching.
 
     ``g`` must be a connected chordal graph whose clique tree has at least
@@ -237,8 +253,7 @@ def select_mega_context(g: Graph, terminals: set[int], tree: CliqueTree | None =
     the resulting structural guarantees raise GraphError: they indicate a
     rule-ordering bug, not a property of the input.
     """
-    if tree is None:
-        tree = build_clique_tree(g)
+    tree = build_clique_tree(g)
     if len(tree.cliques) < 3:
         raise GraphError("clique tree too small for the leaf-cascade branch")
     internal = [i for i in range(len(tree.cliques)) if tree.degree(i) >= 2]
@@ -328,10 +343,8 @@ def mega_children(ctx: MegaBranchContext) -> list[tuple[set[int], set[int]]]:
 def applicable_branch(inst: Instance):
     """The step the solver takes on an already-reduced instance.
 
-    Local rules first.  Otherwise the first component either is small
-    enough for brute force, returned as ("small-component", [(component,
-    minimum hitting set within budget, or None)]), or gets the
-    leaf-cascade rule.  None on an empty graph.
+    Local rules first, otherwise the leaf-cascade rule on the first
+    component.  None on an empty graph.
     """
     spec = _simple_branch(inst)
     if spec is not None:
@@ -340,78 +353,31 @@ def applicable_branch(inst: Instance):
     if not comps:
         return None
     comp = comps[0]
-    sub = inst.graph.induced(comp)
-    terminals = inst.terminals & set(comp)
-    tree = build_clique_tree(sub)
-    if len(tree.cliques) <= 2:
-        best = _min_hitting(sub, terminals, min(inst.k, len(comp)))
-        return "small-component", [(comp, best)]
-    ctx = select_mega_context(sub, terminals, tree)
+    ctx = select_mega_context(inst.graph.induced(comp), inst.terminals & set(comp))
     return "sibling-leaf-cliques", mega_children(ctx)
 
 
-def _min_hitting(g: Graph, terminals: set[int], cap: int) -> set[int] | None:
-    """Smallest vertex set hitting every terminal triangle, or None if > cap."""
-    triangles = [set(tri) for tri in all_t_triangles(g, terminals)]
-    if not triangles:
-        return set()
-    order = g.vertices()
-    for size in range(1, min(cap, len(order)) + 1):
-        for combo in combinations(order, size):
-            chosen = set(combo)
-            if all(tri & chosen for tri in triangles):
-                return chosen
-    return None
-
-
-def _search(inst: Instance, depth: int, stats: _Stats):
+def _search(inst: Instance, depth: int, stats: _Stats) -> list[TraceEntry] | None:
+    """Trace of the first solution below this node, or None when there is none."""
     stats.nodes += 1
     stats.max_depth = max(stats.max_depth, depth)
-    picks: set[int] = set()
     path: list[TraceEntry] = []
-    while True:
-        outcome = reduce_fixpoint(inst, picks, path)
-        if outcome == "yes":
-            return True, picks, path
-        if outcome == "no":
-            return False, set(), path
-        rule, branches = applicable_branch(inst)
-        if rule == "small-component":
-            (comp, best), = branches
-            if best is None:
-                return False, set(), path
-            inst.remove_vertices(comp)
-            inst.k -= len(best)
-            picks |= best
-            path.append(
-                make_entry(
-                    "small-component",
-                    deleted_vertices=comp,
-                    picked=sorted(best),
-                    delta_k=-len(best),
-                )
-            )
+    outcome = reduce_fixpoint(inst, set(), path)
+    if outcome is not None:
+        return path if outcome == "yes" else None
+    rule, branches = applicable_branch(inst)
+    for deleted, picked in branches:
+        if len(picked) > inst.k:
+            # the child would start with a negative budget, an
+            # immediate NO, so skip it without spending a node
             continue
-        for deleted, picked in branches:
-            if len(picked) > inst.k:
-                # the child would start with a negative budget, an
-                # immediate NO, so skip it without spending a node
-                continue
-            child = Instance(
-                inst.graph.without_vertices(deleted),
-                inst.terminals - set(deleted),
-                inst.k - len(picked),
-            )
-            found, child_picks, child_path = _search(child, depth + 1, stats)
-            if found:
-                entry = make_entry(
-                    rule,
-                    deleted_vertices=deleted,
-                    picked=sorted(picked),
-                    delta_k=-len(picked),
-                )
-                return True, picks | set(picked) | child_picks, path + [entry] + child_path
-        return False, set(), path
+        step = make_entry(rule, deleted_vertices=deleted, picked=picked)
+        child = inst.copy()
+        apply_step(child, step)
+        below = _search(child, depth + 1, stats)
+        if below is not None:
+            return path + [step] + below
+    return None
 
 
 def solve(inst: Instance) -> SolveResult:
@@ -419,12 +385,14 @@ def solve(inst: Instance) -> SolveResult:
     inst.validate()
     require_chordal(inst.graph)
     stats = _Stats()
-    found, picks, path = _search(inst.copy(), 0, stats)
-    if not found:
+    path = _search(inst.copy(), 0, stats)
+    if path is None:
         return SolveResult(False, None, stats.nodes, stats.max_depth, RuleTrace())
+    trace = RuleTrace(path)
+    picks = trace.picked_vertices()
     if len(picks) > inst.k:
         raise GraphError("solver assembled an oversized solution")
     remaining = inst.graph.without_vertices(picks)
     if not is_t_forest(remaining, inst.terminals - picks):
         raise GraphError("solver solution fails re-verification on the input graph")
-    return SolveResult(True, picks, stats.nodes, stats.max_depth, RuleTrace(path))
+    return SolveResult(True, picks, stats.nodes, stats.max_depth, trace)

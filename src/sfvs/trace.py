@@ -1,9 +1,10 @@
 """Rule-application traces shared by the kernel and the solver.
 
-Every rule firing is recorded as one :class:`TraceEntry` describing exactly
-what the rule did to the instance: which vertices and edges were deleted,
-which vertices were committed to the solution, and how the budget changed.
-A trace therefore doubles as a replayable edit script; tests replay traces
+Every rule firing is one :class:`TraceEntry` describing exactly what the
+rule does to the instance: which vertices and edges it deletes, which
+vertices it commits to the solution, and how the budget changes.  Rules
+return entries and :func:`apply_step` is the only code that performs them,
+so a trace is a replayable edit script by construction; tests replay traces
 against the input instance and require the result to match the output.
 """
 
@@ -38,15 +39,18 @@ class TraceEntry:
         }
 
 
-def make_entry(rule, deleted_vertices=(), deleted_edges=(), picked=(), delta_k=0):
-    """Build a normalized entry: members sorted, edges as sorted pairs."""
+def make_entry(rule, deleted_vertices=(), deleted_edges=(), picked=()):
+    """Build a normalized entry: members sorted, edges as sorted pairs.
+
+    Every pick costs one unit of budget, so ``delta_k`` is ``-len(picked)``.
+    """
     edges = tuple(sorted(tuple(sorted(e)) for e in deleted_edges))
     return TraceEntry(
         rule=rule,
         deleted_vertices=tuple(sorted(deleted_vertices)),
         deleted_edges=edges,
         picked=tuple(sorted(picked)),
-        delta_k=delta_k,
+        delta_k=-len(picked),
     )
 
 
@@ -55,11 +59,6 @@ class RuleTrace:
     """Ordered record of every rule applied to an instance."""
 
     steps: list[TraceEntry] = field(default_factory=list)
-
-    def add(self, rule, deleted_vertices=(), deleted_edges=(), picked=(), delta_k=0):
-        entry = make_entry(rule, deleted_vertices, deleted_edges, picked, delta_k)
-        self.steps.append(entry)
-        return entry
 
     def rules(self) -> list[str]:
         return [s.rule for s in self.steps]
@@ -77,6 +76,19 @@ class RuleTrace:
         return iter(self.steps)
 
 
+def apply_step(instance, step: TraceEntry) -> None:
+    """Perform one entry on ``instance`` in place.
+
+    Edges go first, then vertices (terminals among them leave the terminal
+    set), then the budget moves by ``delta_k``.
+    """
+    for u, v in step.deleted_edges:
+        instance.graph.remove_edge(u, v)
+    if step.deleted_vertices:
+        instance.remove_vertices(step.deleted_vertices)
+    instance.k += step.delta_k
+
+
 def replay(instance, trace):
     """Apply every step of ``trace`` to a copy of ``instance``.
 
@@ -85,9 +97,5 @@ def replay(instance, trace):
     """
     work = instance.copy()
     for step in trace:
-        for u, v in step.deleted_edges:
-            work.graph.remove_edge(u, v)
-        if step.deleted_vertices:
-            work.remove_vertices(step.deleted_vertices)
-        work.k += step.delta_k
+        apply_step(work, step)
     return work

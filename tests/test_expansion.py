@@ -89,6 +89,19 @@ class TestMaximumMatching:
             b, _ = random_bipartite(rng)
             assert len(maximum_matching(b)) == brute_matching_number(b)
 
+    def test_long_augmenting_path_needs_no_recursion(self):
+        # the path q_1 p_1 q_2 p_2 ... q_n p_n with q ids descending, so the
+        # search tries q_{i+1} first and the last augmenting path spans the
+        # whole chain, far deeper than Python's recursion limit
+        side = 3000
+
+        def q(i):
+            return 2 * side + 1 - i
+
+        edges = [(p, q(p)) for p in range(1, side + 1)] + [(p, q(p + 1)) for p in range(1, side)]
+        b = BipartiteView(range(1, side + 1), range(side + 1, 2 * side + 1), edges)
+        assert maximum_matching(b) == {(p, q(p)) for p in range(1, side + 1)}
+
 
 class TestFindExpansion:
     def test_single_p_two_q(self):

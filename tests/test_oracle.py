@@ -3,15 +3,8 @@ import random
 import pytest
 
 import brute
-from sfvs.chordal import NotChordalError
-from sfvs.graph import Graph, Instance
-from sfvs.oracle import (
-    OracleGuardError,
-    export_3hs,
-    format_3hs,
-    oracle_decide,
-    vc_to_sfvs,
-)
+from sfvs.graph import Graph, Instance, all_t_triangles
+from sfvs.oracle import OracleGuardError, oracle_decide, vc_to_sfvs
 
 from test_chordal import random_chordal
 from test_graph import complete, graph_of
@@ -52,6 +45,16 @@ class TestOracleDecide:
         with pytest.raises(ValueError):
             oracle_decide(inst, method="triangles")
 
+    def test_unknown_method_rejected_on_negative_budget(self):
+        inst = Instance(complete([1, 2, 3]), {1}, -1)
+        with pytest.raises(ValueError):
+            oracle_decide(inst, method="bogus")
+
+    def test_triangle_method_rejects_non_chordal_on_negative_budget(self):
+        inst = Instance(graph_of((1, 2), (2, 3), (3, 4), (4, 1)), {1}, -1)
+        with pytest.raises(ValueError):
+            oracle_decide(inst, method="triangles")
+
     def test_witness_is_min_size_lex_least(self):
         rng = random.Random(4001)
         for _ in range(150):
@@ -78,20 +81,7 @@ class TestOracleDecide:
 
 
 class TestExport3HS:
-    def test_triangle_sets(self):
-        g = complete([1, 2, 3, 4])
-        hs = export_3hs(Instance(g, {1}, 2))
-        assert hs.universe == [1, 2, 3, 4]
-        assert hs.sets == [(1, 2, 3), (1, 2, 4), (1, 3, 4)]
-        assert hs.budget == 2
-        text = format_3hs(hs)
-        assert text.splitlines()[0] == "p 3hs 4 3 2"
-        assert len(text.splitlines()) == 4
-
-    def test_rejects_non_chordal(self):
-        g = graph_of((1, 2), (2, 3), (3, 4), (4, 1))
-        with pytest.raises(NotChordalError):
-            export_3hs(Instance(g, {1}, 1))
+    """On chordal graphs SFVS is 3-Hitting-Set over the terminal triangles."""
 
     def test_hitting_decision_matches_oracle(self):
         rng = random.Random(4003)
@@ -99,10 +89,10 @@ class TestExport3HS:
             g = random_chordal(rng.randint(1, 8), rng)
             terms = {v for v in g.vertices() if rng.random() < 0.6}
             inst = Instance(g, terms, rng.randint(0, 3))
-            hs = export_3hs(inst)
-            assert len(hs.sets) == len(set(hs.sets))
+            triples = all_t_triangles(g, terms)
+            assert len(triples) == len(set(triples))
             assert (
-                brute.hitting_set_decision(hs.universe, hs.sets, hs.budget)
+                brute.hitting_set_decision(g.vertices(), triples, inst.k)
                 == oracle_decide(inst)[0]
             )
 

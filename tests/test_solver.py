@@ -6,7 +6,7 @@ import pytest
 
 import brute
 from sfvs.chordal import NotChordalError
-from sfvs.graph import Graph, GraphError, Instance
+from sfvs.graph import Graph, GraphError, Instance, find_t_triangle
 from sfvs.oracle import oracle_decide
 from sfvs.solver import (
     applicable_branch,
@@ -211,7 +211,7 @@ class TestReduceFixpoint:
         inst = Instance(g, {3}, 1)
         outcome, _, rules, path = self.run_reduce(inst)
         assert outcome == "yes"
-        assert rules[0] == "delete-bridges"
+        assert rules[0] == "delete-bridge"
         assert path[0].deleted_edges == ((3, 4),)
         assert "clique-component" in rules[1:]
 
@@ -302,14 +302,6 @@ class TestBranchSelection:
             ({7, 8}, {7, 8}),
         ]
 
-    def test_small_component(self):
-        # two K4s sharing the edge 3-4: a two-node clique tree that no local
-        # rule touches, so the component is solved by brute force
-        g = complete([1, 2, 3, 4])
-        add_clique(g, [3, 4, 5, 6])
-        inst = Instance(g, set(), 1)
-        assert applicable_branch(inst) == ("small-component", [([1, 2, 3, 4, 5, 6], set())])
-
     def test_reduced_instances_reach_each_rule(self):
         # every construction above sits at a reduce fixpoint already
         for make, expect in [
@@ -393,7 +385,6 @@ class TestMegaSolve:
 class TestAgainstOracle:
     def test_random_chordal_matches_oracle(self):
         rng = random.Random(4021)
-        megas = 0
         for _ in range(400):
             inst = random_chordal_instance(rng)
             want, _ = oracle_decide(inst.copy())
@@ -405,10 +396,20 @@ class TestAgainstOracle:
                 assert len(res.solution) <= inst.k
                 left = inst.graph.without_vertices(res.solution)
                 assert brute.is_t_forest(left, inst.terminals - res.solution)
-                megas += any(
-                    e.rule == "sibling-leaf-cliques" for e in res.trace
-                )
-        assert megas >= 0
+
+    @pytest.mark.parametrize(
+        "make, k",
+        [(pasch_instance, 4), (eight_point_instance, 5), (book_pasch_instance, 5)],
+        ids=["pasch", "eight-point", "book-pasch"],
+    )
+    def test_leaf_cascade_solutions_replay(self, make, k):
+        # the random instances above never reach the seventh rule
+        inst = make(k)
+        res = solve(inst.copy())
+        assert res.answer
+        assert "sibling-leaf-cliques" in res.trace.rules()
+        final = replay(inst, res.trace)
+        assert find_t_triangle(final.graph, final.terminals) is None
 
     def test_trace_replays_to_decided_state(self):
         rng = random.Random(555)
