@@ -3,6 +3,8 @@ split partitions. Recognition failures carry explicit certificates."""
 
 from __future__ import annotations
 
+import heapq
+from collections import deque
 from dataclasses import dataclass, field
 
 from .graph import Graph, GraphError, shortest_path
@@ -26,18 +28,26 @@ class NotSplitError(ValueError):
 
 
 def mcs_visit_order(g: Graph) -> list[int]:
-    """Maximum cardinality search visit order; ties go to the lowest id."""
+    """Maximum cardinality search visit order; ties go to the lowest id.
+
+    A lazy-deletion heap keyed by (-weight, id) yields the heaviest unvisited
+    vertex, lowest id first; entries of visited vertices and entries whose
+    weight has since risen are skipped when popped.  Each edge pushes at most
+    one entry, so the search costs O((n + m) log n).
+    """
     weight = {v: 0 for v in g.vertices()}
+    heap = [(0, v) for v in weight]  # ascending ids already form a heap
     order: list[int] = []
-    visited: set[int] = set()
-    for _ in range(g.n):
-        v = max(weight, key=lambda x: (weight[x], -x))
+    while heap:
+        neg_weight, v = heapq.heappop(heap)
+        if weight.get(v) != -neg_weight:
+            continue
         del weight[v]
-        visited.add(v)
         order.append(v)
         for w in g.neighbors(v):
-            if w not in visited:
+            if w in weight:
                 weight[w] += 1
+                heapq.heappush(heap, (-weight[w], w))
     return order
 
 
@@ -149,9 +159,9 @@ class CliqueTree:
         parent: dict[int, int | None] = {root: None}
         children: dict[int, list[int]] = {i: [] for i in range(len(self.cliques))}
         depth = {root: 0}
-        queue = [root]
+        queue = deque([root])
         while queue:
-            v = queue.pop(0)
+            v = queue.popleft()
             for w in self._adj[v]:
                 if w not in parent:
                     parent[w] = v
@@ -165,14 +175,24 @@ def build_clique_tree(g: Graph) -> CliqueTree:
     """Clique tree by attaching each discovered clique to the best predecessor.
 
     Cliques are taken in discovery order; each new one links to an earlier clique
-    maximizing the intersection size, lowest index on ties. The per-vertex
-    subtree connectivity invariant is verified before returning.
+    maximizing the intersection size, lowest index on ties, and to clique 0 when
+    it meets no earlier clique.  Intersection sizes are counted through an index
+    from each vertex to the earlier cliques holding it, so only cliques that
+    share a vertex are looked at.  The per-vertex subtree connectivity invariant
+    is verified before returning.
     """
     cliques = maximal_cliques(g)
+    holders: dict[int, list[int]] = {}
     edges: list[tuple[int, int]] = []
-    for i in range(1, len(cliques)):
-        best = max(range(i), key=lambda j: (len(cliques[i] & cliques[j]), -j))
-        edges.append((best, i))
+    for i, clique in enumerate(cliques):
+        shared: dict[int, int] = {}
+        for v in clique:
+            held = holders.setdefault(v, [])
+            for j in held:
+                shared[j] = shared.get(j, 0) + 1
+            held.append(i)
+        if i:
+            edges.append((max(shared, key=lambda j: (shared[j], -j), default=0), i))
     tree = CliqueTree(cliques, edges)
     _verify_vertex_subtrees(g, tree)
     return tree

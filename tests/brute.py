@@ -105,6 +105,32 @@ def is_chordal(g: Graph) -> bool:
     return True
 
 
+def mcs_visit_order(g: Graph) -> list[int]:
+    """Maximum cardinality search by a full scan per step: heaviest unvisited
+    vertex, lowest id on ties.  Theta(n^2), kept as the reference order."""
+    weight = {v: 0 for v in g.vertices()}
+    order: list[int] = []
+    visited: set[int] = set()
+    for _ in range(g.n):
+        v = max(weight, key=lambda x: (weight[x], -x))
+        del weight[v]
+        visited.add(v)
+        order.append(v)
+        for w in g.neighbors(v):
+            if w not in visited:
+                weight[w] += 1
+    return order
+
+
+def clique_tree_edges(cliques) -> list[tuple[int, int]]:
+    """Link each clique to the earlier one with the largest intersection,
+    lowest index on ties, by comparing against every earlier clique."""
+    return [
+        (max(range(i), key=lambda j: (len(cliques[i] & cliques[j]), -j)), i)
+        for i in range(1, len(cliques))
+    ]
+
+
 def split_partitions(g: Graph) -> list[tuple[set[int], set[int]]]:
     """All (clique side, independent side) partitions; empty list iff not split."""
     vs = g.vertices()

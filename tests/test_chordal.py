@@ -13,11 +13,12 @@ from sfvs.chordal import (
     is_highlighted,
     is_perfect_elimination_ordering,
     maximal_cliques,
+    mcs_visit_order,
     require_chordal,
     require_split,
     split_partition,
 )
-from sfvs.graph import Graph
+from sfvs.graph import Graph, connected_components
 
 from test_graph import complete, graph_of
 
@@ -111,6 +112,27 @@ class TestChordality:
             g = random_chordal(rng.randint(1, 10), rng)
             assert is_perfect_elimination_ordering(g, require_chordal(g))
 
+    def test_visit_order_matches_full_scan(self):
+        rng = random.Random(2009)
+        graphs = [Graph(range(1, 31)), complete(range(1, 31))]
+        for _ in range(2000):
+            n = rng.randint(0, 30)
+            first = rng.randint(0, n) if rng.random() < 0.25 else n
+            g = brute.random_graph(first, rng.random(), rng)
+            # vertices past `first` form a second, disjoint random part
+            for v in range(first + 1, n + 1):
+                g.add_vertex(v)
+                for u in range(first + 1, v):
+                    if rng.random() < 0.5:
+                        g.add_edge(u, v)
+            graphs.append(g)
+        disconnected = non_chordal = 0
+        for g in graphs:
+            assert mcs_visit_order(g) == brute.mcs_visit_order(g)
+            disconnected += len(connected_components(g)) > 1
+            non_chordal += chordality_order(g) is None
+        assert disconnected > 500 and non_chordal > 500
+
 
 class TestMaximalCliques:
     def test_path(self):
@@ -162,6 +184,32 @@ class TestCliqueTree:
                 inter = tree.cliques[i] & tree.cliques[j]
                 for p in tree_path(tree, i, j):
                     assert inter <= tree.cliques[p]
+
+    def test_links_match_full_scan(self):
+        rng = random.Random(2010)
+        disconnected = 0
+        for _ in range(300):
+            g = random_chordal(
+                rng.randint(1, 40), rng, max_clique=rng.randint(2, 6), connect=rng.random() < 0.5
+            )
+            tree = build_clique_tree(g)
+            assert tree.cliques == maximal_cliques(g)
+            assert tree.edges == brute.clique_tree_edges(tree.cliques)
+            disconnected += len(connected_components(g)) > 1
+        assert disconnected > 100
+
+    def test_rooted_matches_tree_paths(self):
+        rng = random.Random(2011)
+        for _ in range(100):
+            g = random_chordal(rng.randint(1, 30), rng, connect=rng.random() < 0.5)
+            tree = build_clique_tree(g)
+            root = rng.randrange(len(tree.cliques))
+            parent, children, depth = tree.rooted(root)
+            for i in range(len(tree.cliques)):
+                path = tree_path(tree, root, i)  # i back to root
+                assert depth[i] == len(path) - 1
+                assert parent[i] == (path[1] if len(path) > 1 else None)
+                assert children[i] == [j for j in tree.neighbors(i) if j != parent[i]]
 
     def test_leaves_are_simplicial(self):
         rng = random.Random(2006)
