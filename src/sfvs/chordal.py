@@ -56,72 +56,91 @@ def is_perfect_elimination_ordering(g: Graph, peo: list[int]) -> bool:
     pos = {v: i for i, v in enumerate(peo)}
     if set(pos) != g.vertex_set() or len(peo) != g.n:
         return False
+    return _parent_test_violation(g, peo, pos) is None
+
+
+def _parent_test_violation(
+    g: Graph, peo: list[int], pos: dict[int, int]
+) -> tuple[int, int, int] | None:
+    """First (v, parent, w) where w, a later neighbor of v, misses v's parent.
+
+    The parent is v's earliest later neighbor; an ordering in which every
+    vertex passes this test is a perfect elimination ordering.
+    """
     for v in peo:
         later = [w for w in g.neighbors(v) if pos[w] > pos[v]]
         if not later:
             continue
         parent = min(later, key=pos.__getitem__)
         if not (set(later) - {parent}) <= g.neighbors(parent):
-            return False
-    return True
+            stray = [w for w in later if w != parent and not g.has_edge(parent, w)]
+            return v, parent, min(stray)
+    return None
 
 
 def chordality_order(g: Graph) -> list[int] | None:
     """A perfect elimination ordering (first eliminated first), or None."""
-    peo = list(reversed(mcs_visit_order(g)))
-    return peo if is_perfect_elimination_ordering(g, peo) else None
-
-
-def find_chordless_cycle(g: Graph) -> list[int] | None:
-    """An induced cycle of length >= 4 (in cyclic vertex order), None if chordal.
-
-    For each vertex v and non-adjacent pair x, y of its neighbors, a shortest
-    x..y path avoiding N[v] \\ {x, y} closes into a chordless cycle through v.
-    Every induced cycle is discovered this way, so a None answer is conclusive.
-    """
-    for v in g.vertices():
-        nbrs = g.sorted_neighbors(v)
-        for i, x in enumerate(nbrs):
-            for y in nbrs[i + 1 :]:
-                if g.has_edge(x, y):
-                    continue
-                banned = (g.neighbors(v) | {v}) - {x, y}
-                path = shortest_path(g, x, y, banned)
-                if path is not None:
-                    return [v] + path
-    return None
+    try:
+        return require_chordal(g)
+    except NotChordalError:
+        return None
 
 
 def require_chordal(g: Graph) -> list[int]:
-    """Perfect elimination ordering, or NotChordalError with an induced-cycle witness."""
-    peo = chordality_order(g)
-    if peo is None:
-        cycle = find_chordless_cycle(g)
-        if cycle is None:
-            raise GraphError("elimination ordering check and cycle search disagree")
-        raise NotChordalError(cycle)
-    return peo
+    """Perfect elimination ordering, or NotChordalError with an induced-cycle witness.
+
+    The candidate is the reversed maximum cardinality search order.  When its
+    parent test fails at (v, parent, w), a shortest parent..w path avoiding
+    N[v] \\ {parent, w} closes into a cycle through v: the path is chordless
+    because it is shortest, its inner vertices miss v, and parent and w are
+    not adjacent, so the cycle is induced and has length at least four.
+    """
+    peo = list(reversed(mcs_visit_order(g)))
+    violation = _parent_test_violation(g, peo, {v: i for i, v in enumerate(peo)})
+    if violation is None:
+        return peo
+    v, parent, w = violation
+    path = shortest_path(g, parent, w, (g.neighbors(v) | {v}) - {parent, w})
+    if path is None:
+        raise GraphError("elimination ordering check and cycle search disagree")
+    raise NotChordalError([v] + path)
+
+
+def _cliques_and_links(g: Graph) -> tuple[list[frozenset[int]], list[tuple[int, int]]]:
+    """Maximal cliques in search discovery order and the clique-tree links.
+
+    One walk over the maximum cardinality search order (Blair & Peyton 1993):
+    vertex v with earlier-visited neighbors earlier[i] closes the maximal
+    clique {v} | earlier[i] when it is last or the next vertex has no more
+    earlier-visited neighbors than v; the next vertex then opens a clique.
+    An opened clique meets earlier cliques only inside earlier[i], all of
+    which lies in the clique open at the visit of its last-visited member,
+    and no lower-indexed clique holds that member.  So the link to that
+    clique joins the earlier clique with the largest intersection, lowest
+    index on ties, and a clique with no earlier neighbor links to clique 0.
+    """
+    order = list(reversed(require_chordal(g)))
+    pos = {v: i for i, v in enumerate(order)}
+    earlier = [[w for w in g.neighbors(v) if pos[w] < i] for i, v in enumerate(order)]
+    cliques: list[frozenset[int]] = []
+    links: list[tuple[int, int]] = []
+    open_at: dict[int, int] = {}  # vertex -> index of the clique open at its visit
+    for i, v in enumerate(order):
+        if i and len(earlier[i]) <= len(earlier[i - 1]):
+            last = max(earlier[i], key=pos.__getitem__, default=None)
+            links.append((0 if last is None else open_at[last], len(cliques)))
+        open_at[v] = len(cliques)
+        if i + 1 == len(order) or len(earlier[i + 1]) <= len(earlier[i]):
+            cliques.append(frozenset(earlier[i]) | {v})
+    return cliques, links
 
 
 def maximal_cliques(g: Graph) -> list[frozenset[int]]:
     """Maximal cliques of a chordal graph in search discovery order, each once.
 
-    Candidates are {v} union earlier-visited neighbors per visited vertex; the
-    maximal ones are kept by the closed-neighborhood intersection test, which is
-    the definition of maximality and therefore needs no trust in theory.
+    Raises NotChordalError with an induced-cycle witness on non-chordal input.
     """
-    order = mcs_visit_order(g)
-    pos = {v: i for i, v in enumerate(order)}
-    out: list[frozenset[int]] = []
-    for v in order:
-        cand = {w for w in g.neighbors(v) if pos[w] < pos[v]} | {v}
-        common: set[int] | None = None
-        for x in cand:
-            closed = g.neighbors(x) | {x}
-            common = closed if common is None else common & closed
-        if common == cand:
-            out.append(frozenset(cand))
-    return out
+    return _cliques_and_links(g)[0]
 
 
 @dataclass
@@ -172,28 +191,14 @@ class CliqueTree:
 
 
 def build_clique_tree(g: Graph) -> CliqueTree:
-    """Clique tree by attaching each discovered clique to the best predecessor.
+    """Clique tree over the maximal cliques in discovery order.
 
-    Cliques are taken in discovery order; each new one links to an earlier clique
-    maximizing the intersection size, lowest index on ties, and to clique 0 when
-    it meets no earlier clique.  Intersection sizes are counted through an index
-    from each vertex to the earlier cliques holding it, so only cliques that
-    share a vertex are looked at.  The per-vertex subtree connectivity invariant
-    is verified before returning.
+    Each clique after the first links to an earlier clique maximizing the
+    intersection size, lowest index on ties, and to clique 0 when it meets no
+    earlier clique.  Raises NotChordalError on non-chordal input.  The
+    per-vertex subtree connectivity invariant is verified before returning.
     """
-    cliques = maximal_cliques(g)
-    holders: dict[int, list[int]] = {}
-    edges: list[tuple[int, int]] = []
-    for i, clique in enumerate(cliques):
-        shared: dict[int, int] = {}
-        for v in clique:
-            held = holders.setdefault(v, [])
-            for j in held:
-                shared[j] = shared.get(j, 0) + 1
-            held.append(i)
-        if i:
-            edges.append((max(shared, key=lambda j: (shared[j], -j), default=0), i))
-    tree = CliqueTree(cliques, edges)
+    tree = CliqueTree(*_cliques_and_links(g))
     _verify_vertex_subtrees(g, tree)
     return tree
 

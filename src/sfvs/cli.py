@@ -335,10 +335,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except ParseError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except GenError as exc:
+    except (ParseError, GenError, FileNotFoundError, GraphError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except NotChordalError as exc:
@@ -354,12 +351,6 @@ def main(argv=None) -> int:
     except OracleGuardError as exc:
         print(json.dumps({"error": "oracle-guard", "detail": str(exc)}))
         return 3
-    except FileNotFoundError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except GraphError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
 
 
 if __name__ == "__main__":

@@ -379,7 +379,7 @@ def parse_instance(text: str) -> Instance:
     declared_m = 0
     declared_n = 0
     k = 0
-    seen_edges: set[tuple[int, int]] = set()
+    edges_read = 0
 
     def fail(lineno: int, msg: str) -> None:
         raise ParseError(f"line {lineno}: {msg}")
@@ -419,10 +419,10 @@ def parse_instance(text: str) -> Instance:
                 u, v = ids
                 if u == v:
                     fail(lineno, f"self-loop at {u}")
-                if edge_key(u, v) in seen_edges:
+                if graph.has_edge(u, v):
                     fail(lineno, f"duplicate edge ({u}, {v})")
-                seen_edges.add(edge_key(u, v))
                 graph.add_edge(u, v)
+                edges_read += 1
             else:
                 if ids[0] in terminals:
                     fail(lineno, f"duplicate terminal {ids[0]}")
@@ -432,9 +432,9 @@ def parse_instance(text: str) -> Instance:
 
     if graph is None:
         raise ParseError("line 0: missing problem line")
-    if len(seen_edges) != declared_m:
+    if edges_read != declared_m:
         raise ParseError(
-            f"line 0: problem line declares {declared_m} edges, found {len(seen_edges)}"
+            f"line 0: problem line declares {declared_m} edges, found {edges_read}"
         )
     return Instance(graph, terminals, k)
 

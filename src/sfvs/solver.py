@@ -261,7 +261,7 @@ def select_mega_context(g: Graph, terminals: set[int]) -> MegaBranchContext:
     parent, children, depth = tree.rooted(root)
     c_ell_idx = max(tree.leaves(), key=lambda i: (depth[i], -i))
     c_ell = set(tree.cliques[c_ell_idx])
-    t, c_ell_terms = _leaf_terminal(g, terminals, c_ell)
+    t = _leaf_terminal(g, terminals, c_ell)
     p_idx = parent[c_ell_idx]
     c_p = set(tree.cliques[p_idx])
     xyz = sorted(c_ell - {t})
@@ -288,8 +288,8 @@ def select_mega_context(g: Graph, terminals: set[int]) -> MegaBranchContext:
     c_y_idx = min(groups[y])
     c_x = set(tree.cliques[c_x_idx])
     c_y = set(tree.cliques[c_y_idx])
-    t_x, _ = _leaf_terminal(g, terminals, c_x)
-    t_y, _ = _leaf_terminal(g, terminals, c_y)
+    t_x = _leaf_terminal(g, terminals, c_x)
+    t_y = _leaf_terminal(g, terminals, c_y)
     x_pair = tuple(sorted(c_x - {t_x, x}))
     y_pair = tuple(sorted(c_y - {t_y, y}))
     overlap = set(x_pair) & set(y_pair)
@@ -312,14 +312,14 @@ def select_mega_context(g: Graph, terminals: set[int]) -> MegaBranchContext:
     )
 
 
-def _leaf_terminal(g: Graph, terminals: set[int], clique: set[int]) -> tuple[int, set[int]]:
+def _leaf_terminal(g: Graph, terminals: set[int], clique: set[int]) -> int:
     terms = clique & terminals
     if len(clique) != 4 or len(terms) != 1:
         raise GraphError("leaf clique is not a size-4 clique with one terminal")
     t = next(iter(terms))
     if g.neighbors(t) | {t} != clique:
         raise GraphError("leaf clique terminal is not simplicial")
-    return t, terms
+    return t
 
 
 def mega_children(ctx: MegaBranchContext) -> list[tuple[set[int], set[int]]]:

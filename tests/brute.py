@@ -122,6 +122,25 @@ def mcs_visit_order(g: Graph) -> list[int]:
     return order
 
 
+def mcs_maximal_cliques(g: Graph) -> list[frozenset[int]]:
+    """Maximal cliques in search discovery order: for each vertex of the
+    full-scan visit order, {v} union its earlier-visited neighbors, kept when
+    it equals the intersection of its members' closed neighborhoods (the
+    definition of maximality).  Kept as the reference clique order."""
+    order = mcs_visit_order(g)
+    pos = {v: i for i, v in enumerate(order)}
+    out: list[frozenset[int]] = []
+    for v in order:
+        cand = {w for w in g.neighbors(v) if pos[w] < pos[v]} | {v}
+        common: set[int] | None = None
+        for x in cand:
+            closed = g.neighbors(x) | {x}
+            common = closed if common is None else common & closed
+        if common == cand:
+            out.append(frozenset(cand))
+    return out
+
+
 def clique_tree_edges(cliques) -> list[tuple[int, int]]:
     """Link each clique to the earlier one with the largest intersection,
     lowest index on ties, by comparing against every earlier clique."""

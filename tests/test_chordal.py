@@ -9,7 +9,6 @@ from sfvs.chordal import (
     NotSplitError,
     build_clique_tree,
     chordality_order,
-    find_chordless_cycle,
     is_highlighted,
     is_perfect_elimination_ordering,
     maximal_cliques,
@@ -18,6 +17,7 @@ from sfvs.chordal import (
     require_split,
     split_partition,
 )
+from sfvs.generators import FAMILIES, GenSpec, generate
 from sfvs.graph import Graph, connected_components
 
 from test_graph import complete, graph_of
@@ -72,8 +72,9 @@ class TestChordality:
     def test_square_is_not_chordal(self):
         g = graph_of((1, 2), (2, 3), (3, 4), (4, 1))
         assert chordality_order(g) is None
-        cyc = find_chordless_cycle(g)
-        assert cyc is not None and sorted(cyc) == [1, 2, 3, 4]
+        with pytest.raises(NotChordalError) as err:
+            require_chordal(g)
+        assert sorted(err.value.cycle) == [1, 2, 3, 4]
 
     def test_certificate_is_an_induced_long_cycle(self):
         rng = random.Random(2001)
@@ -96,6 +97,45 @@ class TestChordality:
                     gap = abs(ia - ib)
                     assert gap == 1 or gap == len(cyc) - 1
         assert rejected > 40
+
+    def test_dense_graph_plus_c5_is_certified(self):
+        g = generate(GenSpec("chordal-random", 2000, 4, 1, edge_prob=0.9)).graph
+        assert g.m > 19_000
+        ring = list(range(g.n + 1, g.n + 6))
+        for v in ring:
+            g.add_vertex(v)
+        for a, b in zip(ring, ring[1:] + ring[:1]):
+            g.add_edge(a, b)
+        with pytest.raises(NotChordalError) as err:
+            require_chordal(g)
+        assert sorted(err.value.cycle) == ring
+        assert brute.induces_cycle(g, err.value.cycle)
+
+    def test_certificates_on_generator_graphs_with_added_edges(self):
+        rng = random.Random(2012)
+        rejected = 0
+        for i in range(300):
+            spec = GenSpec(
+                FAMILIES[i % 4], rng.randint(8, 40), 3, i, clique_side=4, edge_prob=rng.random()
+            )
+            g = generate(spec).graph
+            vs = g.vertices()
+            for _ in range(rng.randint(1, 3)):
+                u = rng.choice(vs)
+                others = sorted(set(vs) - g.neighbors(u) - {u})
+                if others:
+                    g.add_edge(u, rng.choice(others))
+            try:
+                peo = require_chordal(g)
+            except NotChordalError as err:
+                rejected += 1
+                cyc = err.cycle
+                assert len(cyc) >= 4 and brute.induces_cycle(g, cyc)
+                for a, b in zip(cyc, cyc[1:] + cyc[:1]):
+                    assert g.has_edge(a, b)
+            else:
+                assert is_perfect_elimination_ordering(g, peo)
+        assert rejected > 100
 
     def test_agrees_with_brute_recognition(self):
         rng = random.Random(2002)
@@ -147,6 +187,33 @@ class TestMaximalCliques:
         g = Graph([7])
         assert maximal_cliques(g) == [frozenset({7})]
 
+    def test_star_is_one_clique_per_leaf(self):
+        n = 16_000
+        g = Graph(range(1, n + 2))
+        for leaf in range(2, n + 2):
+            g.add_edge(1, leaf)
+        assert maximal_cliques(g) == [frozenset({1, leaf}) for leaf in range(2, n + 2)]
+        tree = build_clique_tree(g)
+        assert tree.edges == [(0, i) for i in range(1, n)]
+
+    def test_book_is_one_clique_per_page(self):
+        pages = range(3, 16_003)
+        g = graph_of((1, 2))
+        for p in pages:
+            g.add_vertex(p)
+            g.add_edge(1, p)
+            g.add_edge(2, p)
+        tree = build_clique_tree(g)
+        assert tree.cliques == [frozenset({1, 2, p}) for p in pages]
+        assert tree.edges == [(0, i) for i in range(1, len(pages))]
+
+    def test_non_chordal_input_is_rejected(self):
+        c4 = graph_of((1, 2), (2, 3), (3, 4), (4, 1))
+        for build in (maximal_cliques, build_clique_tree):
+            with pytest.raises(NotChordalError) as err:
+                build(c4)
+            assert sorted(err.value.cycle) == [1, 2, 3, 4]
+
     def test_matches_brute_on_random_chordal(self):
         rng = random.Random(2004)
         for _ in range(200):
@@ -192,11 +259,26 @@ class TestCliqueTree:
             g = random_chordal(
                 rng.randint(1, 40), rng, max_clique=rng.randint(2, 6), connect=rng.random() < 0.5
             )
+            want = brute.mcs_maximal_cliques(g)
+            assert maximal_cliques(g) == want
             tree = build_clique_tree(g)
-            assert tree.cliques == maximal_cliques(g)
-            assert tree.edges == brute.clique_tree_edges(tree.cliques)
+            assert tree.cliques == want
+            assert tree.edges == brute.clique_tree_edges(want)
             disconnected += len(connected_components(g)) > 1
         assert disconnected > 100
+
+    @pytest.mark.parametrize("family", FAMILIES)
+    def test_links_match_full_scan_on_generator_families(self, family):
+        rng = random.Random(2013)
+        for seed in range(25):
+            n = rng.randint(1, 15 if family == "vc-reduction" else 80)
+            spec = GenSpec(family, n, 4, seed, clique_side=rng.randint(0, n), edge_prob=rng.random())
+            g = generate(spec).graph
+            want = brute.mcs_maximal_cliques(g)
+            assert maximal_cliques(g) == want
+            tree = build_clique_tree(g)
+            assert tree.cliques == want
+            assert tree.edges == brute.clique_tree_edges(want)
 
     def test_rooted_matches_tree_paths(self):
         rng = random.Random(2011)
