@@ -92,6 +92,7 @@ def cmd_solve(args) -> int:
             "solution": sorted(res.solution) if res.solution is not None else None,
             "nodes_visited": res.nodes_visited,
             "max_depth": res.max_depth,
+            "pruned": res.pruned,
             "wall_ms": round(wall, 3),
             "trace": [e.to_dict() for e in res.trace],
         },

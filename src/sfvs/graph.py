@@ -371,6 +371,9 @@ def trivial_answer(inst: Instance) -> str | None:
 #   t <v>
 # vertices are 1..n; duplicate edges, self-loops and out-of-range ids are rejected.
 
+# the problem line's n is allocated up front, so a larger n is refused
+MAX_DECLARED_VERTICES = 1_000_000
+
 
 def parse_instance(text: str) -> Instance:
     """Parse instance text, raising ParseError with a line number on bad input."""
@@ -401,6 +404,8 @@ def parse_instance(text: str) -> Instance:
                 fail(lineno, f"non-integer field in problem line {line!r}")
             if declared_n < 0 or declared_m < 0:
                 fail(lineno, "negative vertex or edge count")
+            if declared_n > MAX_DECLARED_VERTICES:
+                fail(lineno, f"{declared_n} vertices exceed the cap {MAX_DECLARED_VERTICES}")
             graph = Graph(range(1, declared_n + 1))
         elif tag in ("e", "t"):
             if graph is None:

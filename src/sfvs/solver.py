@@ -1,7 +1,8 @@
 """Branch-and-reduce solver for subset feedback vertex set on chordal graphs.
 
-A search node first drives the reduction rules to a fixpoint, then takes the
-step :func:`applicable_branch` selects.  The reductions share the kernel's
+A search node first drives the reduction rules to a fixpoint, then cuts
+its subtree when :func:`lower_bound` exceeds the budget, and otherwise takes
+the step :func:`applicable_branch` selects.  The reductions share the kernel's
 trivial decision and delete every match per pass: all clique components, all
 non-terminals without a terminal neighbour, all bridges (the last two are
 :func:`safe_deletion`, which the kernel uses too).  Branching uses the
@@ -44,7 +45,8 @@ class SolveResult:
 
     ``trace`` records the rule applications along the successful
     root-to-leaf path of the search tree (empty on NO), so replaying it
-    against the input reproduces the final decided state.
+    against the input reproduces the final decided state.  ``pruned``
+    counts the nodes whose subtree :func:`lower_bound` cut.
     """
 
     answer: bool
@@ -52,6 +54,7 @@ class SolveResult:
     nodes_visited: int
     max_depth: int
     trace: RuleTrace
+    pruned: int = 0
 
 
 @dataclass
@@ -80,11 +83,12 @@ class MegaBranchContext:
 
 
 class _Stats:
-    __slots__ = ("nodes", "max_depth")
+    __slots__ = ("nodes", "max_depth", "pruned")
 
     def __init__(self):
         self.nodes = 0
         self.max_depth = 0
+        self.pruned = 0
 
 
 def safe_deletion(inst: Instance) -> TraceEntry | None:
@@ -155,6 +159,57 @@ def reduce_fixpoint(inst: Instance, picks: set[int], path: list[TraceEntry]) -> 
             apply_step(inst, step)
             picks |= set(step.picked)
             path.append(step)
+
+
+def lower_bound(inst: Instance) -> int:
+    """A lower bound on the size of every solution of ``inst``.
+
+    The larger of two counts, each a set of disjoint demands on the picks.
+    The packing takes the terminals in sorted order; an unused terminal t
+    packs the triangle {t, u, min(common)} with its first unused neighbour u
+    that has unused common neighbours with it.  It stops once the count
+    exceeds the budget.  The clique-partition bound (Akiba & Iwata 2016, on
+    the 3-Hitting-Set view) uses private terminals: degree 2, with adjacent
+    neighbours a and b that are not private terminals themselves.  Their
+    pairs a-b form a graph H, partitioned greedily into cliques.  A part Q
+    that keeps r members leaves r(r-1)/2 private triangles that only their
+    own terminals can hit, so Q costs at least |Q| - 1 picks, none of them
+    charged to another part.
+    """
+    g, terminals = inst.graph, inst.terminals
+    used: set[int] = set()
+    packed = 0
+    for t in sorted(terminals):
+        if t in used:
+            continue
+        free = g.neighbors(t) - used
+        for u in sorted(free):
+            common = free & g.neighbors(u)
+            if common:
+                used |= {t, u, min(common)}
+                packed += 1
+                break
+        if packed > inst.k:
+            return packed
+    private = {t for t in terminals if g.degree(t) == 2 and g.is_clique(g.neighbors(t))}
+    pairs: dict[int, set[int]] = {}
+    for t in private:
+        a, b = g.neighbors(t)
+        if a not in private and b not in private:
+            pairs.setdefault(a, set()).add(b)
+            pairs.setdefault(b, set()).add(a)
+    assigned: set[int] = set()
+    cover = 0
+    for v in sorted(pairs):
+        if v in assigned:
+            continue
+        part = {v}
+        for w in sorted(pairs[v] - assigned):
+            if part <= pairs[w]:
+                part.add(w)
+        assigned |= part
+        cover += len(part) - 1
+    return max(packed, cover)
 
 
 def _simple_branch(inst: Instance):
@@ -365,6 +420,9 @@ def _search(inst: Instance, depth: int, stats: _Stats) -> list[TraceEntry] | Non
     outcome = reduce_fixpoint(inst, set(), path)
     if outcome is not None:
         return path if outcome == "yes" else None
+    if lower_bound(inst) > inst.k:
+        stats.pruned += 1
+        return None
     rule, branches = applicable_branch(inst)
     for deleted, picked in branches:
         if len(picked) > inst.k:
@@ -387,7 +445,7 @@ def solve(inst: Instance) -> SolveResult:
     stats = _Stats()
     path = _search(inst.copy(), 0, stats)
     if path is None:
-        return SolveResult(False, None, stats.nodes, stats.max_depth, RuleTrace())
+        return SolveResult(False, None, stats.nodes, stats.max_depth, RuleTrace(), stats.pruned)
     trace = RuleTrace(path)
     picks = trace.picked_vertices()
     if len(picks) > inst.k:
@@ -395,4 +453,4 @@ def solve(inst: Instance) -> SolveResult:
     remaining = inst.graph.without_vertices(picks)
     if not is_t_forest(remaining, inst.terminals - picks):
         raise GraphError("solver solution fails re-verification on the input graph")
-    return SolveResult(True, picks, stats.nodes, stats.max_depth, trace)
+    return SolveResult(True, picks, stats.nodes, stats.max_depth, trace, stats.pruned)

@@ -62,6 +62,21 @@ class TestSolveCommand:
         code, _, err = run(capsys, "solve", "-i", path)
         assert code == 2 and "line 2" in err
 
+    def test_declared_size_cap(self, capsys, tmp_path):
+        path = write_instance(tmp_path, "p sfvs 1000000000000 0 0\n")
+        code, _, err = run(capsys, "solve", "-i", path)
+        assert code == 2 and "line 1" in err and "cap" in err
+
+    def test_pruned_count(self, capsys, tmp_path):
+        # four clique vertices need a cover of three, so the bound cuts
+        # the root
+        k4 = Graph(range(1, 5), [(u, w) for u in range(1, 5) for w in range(u + 1, 5)])
+        path = write_instance(tmp_path, format_instance(vc_to_sfvs(k4, 2)))
+        code, out, _ = run(capsys, "solve", "-i", path, "--json")
+        payload = json.loads(out)
+        assert code == 1 and payload["answer"] == "no"
+        assert payload["nodes_visited"] == 1 and payload["pruned"] == 1
+
     def test_missing_file(self, capsys, tmp_path):
         code, _, err = run(capsys, "solve", "-i", str(tmp_path / "absent.txt"))
         assert code == 2 and err

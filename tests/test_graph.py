@@ -225,6 +225,7 @@ class TestInstanceFormat:
             ("p sfvs 2 0 0\np sfvs 2 0 0\n", "duplicate problem line"),
             ("p sfvs 2 0 0\nx 1\n", "unknown line type"),
             ("p sfvs a 0 0\n", "non-integer"),
+            ("p sfvs 1000000000000 0 0\n", "exceed the cap"),
             ("", "missing problem line"),
         ],
     )

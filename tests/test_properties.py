@@ -1,4 +1,5 @@
-"""Property tests for chordal recognition and clique trees on drawn graphs."""
+"""Property tests for chordal recognition, clique trees and the solver's
+lower bound on drawn graphs."""
 
 from itertools import combinations
 
@@ -12,7 +13,9 @@ from sfvs.chordal import (
     maximal_cliques,
     require_chordal,
 )
-from sfvs.graph import Graph
+from sfvs.graph import Graph, Instance
+from sfvs.oracle import oracle_decide
+from sfvs.solver import lower_bound
 
 hypothesis = pytest.importorskip("hypothesis")
 st = pytest.importorskip("hypothesis.strategies")
@@ -77,3 +80,13 @@ def test_cliques_and_links_match_references(g):
     tree = build_clique_tree(g)
     assert tree.cliques == want
     assert tree.edges == brute.clique_tree_edges(want)
+
+
+@SETTINGS
+@hypothesis.given(chordal_graphs(), st.data())
+def test_lower_bound_never_exceeds_the_minimum(g, data):
+    picks = data.draw(st.lists(st.booleans(), min_size=g.n, max_size=g.n))
+    terminals = {v for v, keep in zip(g.vertices(), picks) if keep}
+    inst = Instance(g, terminals, g.n)
+    _, witness = oracle_decide(inst.copy())
+    assert lower_bound(inst) <= len(witness)

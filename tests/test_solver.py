@@ -5,17 +5,21 @@ import random
 import pytest
 
 import brute
+from sfvs import solver
 from sfvs.chordal import NotChordalError
+from sfvs.generators import FAMILIES, GenSpec, generate
 from sfvs.graph import Graph, GraphError, Instance, find_t_triangle
-from sfvs.oracle import oracle_decide
+from sfvs.oracle import oracle_decide, vc_to_sfvs
 from sfvs.solver import (
     applicable_branch,
+    lower_bound,
     mega_children,
     reduce_fixpoint,
     select_mega_context,
     solve,
 )
 from sfvs.trace import replay
+from test_kernel import random_split_instance
 
 
 def build(vertices, edges):
@@ -111,6 +115,25 @@ def random_chordal_instance(rng, max_n=11, max_k=4):
     g = random_chordal(rng, rng.randint(1, max_n))
     terminals = {v for v in g.vertices() if rng.random() < 0.4}
     return Instance(g, terminals, rng.randint(0, max_k))
+
+
+def oracle_sized_spec(rng, family):
+    """A generator spec whose instance has at most 24 vertices."""
+    k = rng.randint(0, 6)
+    seed = rng.randrange(10**6)
+    if family == "vc-reduction":
+        # n graph vertices plus one terminal per edge
+        return GenSpec(family, rng.randint(3, 6), k, seed, edge_prob=rng.uniform(0.2, 0.6))
+    n = rng.randint(4, 24)
+    return GenSpec(
+        family,
+        n,
+        k,
+        seed,
+        clique_side=rng.randint(0, n) if family == "split-random" else 0,
+        edge_prob=rng.uniform(0.2, 0.8),
+        terminal_frac=rng.uniform(0.2, 0.7),
+    )
 
 
 class TestValidation:
@@ -433,3 +456,79 @@ class TestAgainstOracle:
             assert first.solution == second.solution
             assert first.nodes_visited == second.nodes_visited
             assert list(first.trace) == list(second.trace)
+
+
+class TestLowerBound:
+    def test_clique_side_with_private_terminals(self):
+        # one degree-2 terminal per pair of K_r: a vertex cover of K_r
+        for r in range(2, 8):
+            kr = complete(range(1, r + 1))
+            assert lower_bound(vc_to_sfvs(kr, r)) == r - 1
+
+    def test_private_terminal_beside_private_terminal_is_not_counted(self):
+        # all three are private terminals, so no pair is counted; one pick
+        # suffices, where counting the pairs would claim two
+        inst = Instance(complete([1, 2, 3]), {1, 2, 3}, 3)
+        assert lower_bound(inst) == 1
+        assert len(oracle_decide(inst.copy())[1]) == 1
+
+    def test_disjoint_terminal_triangles_are_packed(self):
+        # terminals of degree 3 are not private, so only the packing counts
+        g = Graph()
+        for base in (1, 5, 9, 13):
+            add_clique(g, range(base, base + 4))
+        inst = Instance(g, {1, 5, 9, 13}, 4)
+        assert lower_bound(inst) == 4
+        inst.k = 1
+        assert lower_bound(inst) == 2
+
+    def test_t_forest_gives_zero(self):
+        # a terminal path hanging off two terminal-free triangles
+        g = build(range(1, 6), [(1, 2), (2, 3), (3, 4), (4, 5)])
+        add_clique(g, [5, 6, 7])
+        add_clique(g, [5, 8, 9])
+        inst = Instance(g, {1, 2, 3, 4}, 0)
+        assert brute.is_t_forest(g, inst.terminals)
+        assert lower_bound(inst) == 0
+
+    def test_never_above_oracle_minimum(self):
+        rng = random.Random(6006)
+        checked = 0
+        for i in range(3000):
+            inst = generate(oracle_sized_spec(rng, FAMILIES[i % 4]))
+            assert inst.graph.n <= 24
+            bound = lower_bound(inst)
+            if bound:
+                # a solution of size bound - 1 would put the bound above
+                # the minimum
+                inst.k = bound - 1
+                assert not oracle_decide(inst)[0], inst
+                checked += 1
+        assert checked >= 2000
+
+    def test_same_search_without_the_bound(self, monkeypatch):
+        rng = random.Random(6007)
+        insts = [random_chordal_instance(rng) for _ in range(1500)]
+        insts += [random_split_instance(rng) for _ in range(1500)]
+        bounded = [solve(inst.copy()) for inst in insts]
+        monkeypatch.setattr(solver, "lower_bound", lambda inst: 0)
+        for inst, res in zip(insts, bounded):
+            plain = solve(inst.copy())
+            assert plain.pruned == 0
+            assert (res.answer, res.solution) == (plain.answer, plain.solution)
+            assert list(res.trace) == list(plain.trace)
+            assert res.nodes_visited <= plain.nodes_visited
+        assert any(res.pruned for res in bounded)
+
+    @pytest.mark.parametrize(
+        "spec",
+        [
+            GenSpec("split-random", 400, 10, 1, clique_side=60),
+            GenSpec("vc-reduction", 30, 12, 1, edge_prob=0.3),
+        ],
+        ids=["split-n400-k10", "vc-n168-k12"],
+    )
+    def test_baseline_rows_stop_at_the_root(self, spec):
+        res = solve(generate(spec))
+        assert not res.answer
+        assert res.nodes_visited == 1 and res.pruned == 1
