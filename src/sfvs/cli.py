@@ -32,9 +32,9 @@ from .graph import (
     GraphError,
     Instance,
     ParseError,
-    find_terminal_cycle,
     format_instance,
     parse_instance,
+    solution_defect,
 )
 from .kernel import kernelize
 from .oracle import ORACLE_VERTEX_CAP, OracleGuardError, oracle_decide
@@ -141,34 +141,10 @@ def cmd_oracle(args) -> int:
 
 def cmd_verify(args) -> int:
     inst = _read_instance(args)
-    solution = _parse_solution(args.solution)
-    missing = sorted(solution - inst.graph.vertex_set())
-    if missing:
-        _emit(
-            {"valid": False, "witness_cycle": None, "reason": f"unknown vertices {missing}"},
-            args,
-        )
-        return 1
-    if len(solution) > inst.k:
-        _emit(
-            {
-                "valid": False,
-                "witness_cycle": None,
-                "reason": f"solution size {len(solution)} exceeds budget {inst.k}",
-            },
-            args,
-        )
-        return 1
-    remaining = inst.graph.without_vertices(solution)
-    cycle = find_terminal_cycle(remaining, inst.terminals - solution)
-    if cycle is None:
-        _emit({"valid": True, "witness_cycle": None, "reason": None}, args)
-        return 0
-    _emit(
-        {"valid": False, "witness_cycle": cycle, "reason": "terminal cycle survives"},
-        args,
-    )
-    return 1
+    defect = solution_defect(inst, _parse_solution(args.solution))
+    reason, cycle = defect or (None, None)
+    _emit({"valid": defect is None, "witness_cycle": cycle, "reason": reason}, args)
+    return 0 if defect is None else 1
 
 
 def _parse_solution(text: str) -> set[int]:

@@ -12,7 +12,7 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 
-from .graph import Graph, Instance, all_t_triangles, format_instance
+from .graph import MAX_DECLARED_VERTICES, Graph, Instance, all_t_triangles, format_instance
 from .oracle import vc_to_sfvs
 
 FAMILIES = ("split-random", "chordal-random", "vc-reduction", "planted")
@@ -49,6 +49,10 @@ class GenSpec:
             raise GenError("terminal fraction must lie in [0, 1]")
         if self.family == "split-random" and not 0 <= self.clique_side <= self.n:
             raise GenError("clique side size must lie between 0 and n")
+        # vc-reduction adds one terminal per edge of its n-vertex source graph
+        most = self.n + self.n * (self.n - 1) // 2 if self.family == "vc-reduction" else self.n
+        if most > MAX_DECLARED_VERTICES:
+            raise GenError(f"up to {most} vertices exceed the cap {MAX_DECLARED_VERTICES}")
 
 
 def generate(spec: GenSpec) -> Instance:

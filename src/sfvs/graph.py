@@ -14,29 +14,6 @@ class ParseError(ValueError):
     """Malformed instance text; message carries the offending line number."""
 
 
-class Triangle(tuple):
-    """Three pairwise-adjacent vertices, stored in sorted order."""
-
-    __slots__ = ()
-
-    def __new__(cls, u: int, v: int, w: int) -> "Triangle":
-        if len({u, v, w}) != 3:
-            raise GraphError(f"triangle vertices must be distinct: {(u, v, w)}")
-        return super().__new__(cls, sorted((u, v, w)))
-
-    @property
-    def a(self) -> int:
-        return self[0]
-
-    @property
-    def b(self) -> int:
-        return self[1]
-
-    @property
-    def c(self) -> int:
-        return self[2]
-
-
 def edge_key(u: int, v: int) -> tuple[int, int]:
     """Canonical (min, max) form of an undirected edge."""
     return (u, v) if u < v else (v, u)
@@ -256,22 +233,41 @@ def find_bridges(g: Graph) -> set[tuple[int, int]]:
     return bridges
 
 
-def find_t_triangle(g: Graph, terminals: set[int]) -> Triangle | None:
-    """First triangle through a terminal, scanning ids in sorted order."""
-    for t in sorted(terminals):
-        if t not in g:
-            raise GraphError(f"terminal {t} not in graph")
-        nbrs = g.neighbors(t)
-        for u in sorted(nbrs):
-            common = nbrs & g.neighbors(u)
+def pack_triangles(g: Graph, apexes: Iterable[int], limit: int) -> list[tuple[int, int, int]]:
+    """Greedily pack vertex-disjoint triangles, each through one apex.
+
+    The apexes are taken in sorted order, and an apex that is already packed
+    is skipped.  Apex a packs (a, u, min(common)), where u is a's first
+    unpacked neighbour with unpacked common neighbours.  Packed vertices only
+    ever grow, so one pass finds what restarting the scan after each triangle
+    would.  Returns the triangles as soon as more than ``limit`` are packed.
+    """
+    used: set[int] = set()
+    packed: list[tuple[int, int, int]] = []
+    for a in sorted(apexes):
+        if a in used:
+            continue
+        free = g.neighbors(a) - used
+        for u in sorted(free):
+            common = free & g.neighbors(u)
             if common:
-                return Triangle(t, u, min(common))
-    return None
+                packed.append((a, u, min(common)))
+                used.update(packed[-1])
+                break
+        if len(packed) > limit:
+            break
+    return packed
 
 
-def all_t_triangles(g: Graph, terminals: set[int]) -> list[Triangle]:
+def find_t_triangle(g: Graph, terminals: set[int]) -> tuple[int, int, int] | None:
+    """The first triangle :func:`pack_triangles` finds from the terminals, sorted; else None."""
+    packed = pack_triangles(g, terminals, 0)
+    return tuple(sorted(packed[0])) if packed else None
+
+
+def all_t_triangles(g: Graph, terminals: set[int]) -> list[tuple[int, int, int]]:
     """Every triangle containing at least one terminal, each exactly once, sorted."""
-    out: set[Triangle] = set()
+    out: set[tuple[int, int, int]] = set()
     for t in sorted(terminals):
         if t not in g:
             raise GraphError(f"terminal {t} not in graph")
@@ -279,15 +275,21 @@ def all_t_triangles(g: Graph, terminals: set[int]) -> list[Triangle]:
         for u in sorted(nbrs):
             for w in nbrs & g.neighbors(u):
                 if u < w:
-                    out.add(Triangle(t, u, w))
+                    out.add(tuple(sorted((t, u, w))))
     return sorted(out)
 
 
 def is_t_forest(g: Graph, terminals: set[int]) -> bool:
-    """True iff no cycle of g passes through a terminal.
+    """True iff no cycle of g passes through a terminal."""
+    return find_terminal_cycle(g, terminals) is None
+
+
+def find_terminal_cycle(g: Graph, terminals: set[int]) -> list[int] | None:
+    """An explicit cycle through a terminal (vertex list), or None if T-forest.
 
     A vertex lies on a cycle exactly when one of its incident edges is not a
     bridge, so one bridge computation answers the query for every terminal.
+    It runs only once a terminal of degree at least 2 turns up.
     """
     bridges = None
     for t in sorted(terminals):
@@ -297,25 +299,28 @@ def is_t_forest(g: Graph, terminals: set[int]) -> bool:
             continue
         if bridges is None:
             bridges = find_bridges(g)
-        for u in g.neighbors(t):
-            if edge_key(t, u) not in bridges:
-                return False
-    return True
-
-
-def find_terminal_cycle(g: Graph, terminals: set[int]) -> list[int] | None:
-    """An explicit cycle through a terminal (vertex list), or None if T-forest."""
-    bridges = find_bridges(g)
-    for t in sorted(terminals):
-        if t not in g:
-            raise GraphError(f"terminal {t} not in graph")
         for u in g.sorted_neighbors(t):
-            if edge_key(t, u) in bridges:
-                continue
-            # non-bridge: a t..u path survives removing the edge itself
-            path = shortest_path(g.without_edge(t, u), t, u, set())
-            if path is not None:
-                return path
+            if edge_key(t, u) not in bridges:
+                # non-bridge: a t..u path survives removing the edge itself
+                return shortest_path(g.without_edge(t, u), t, u, set())
+    return None
+
+
+def solution_defect(inst: Instance, solution: set[int]) -> tuple[str, list[int] | None] | None:
+    """Why ``solution`` fails to solve ``inst``, as (reason, witness cycle); None if it solves it.
+
+    Checked in order: vertices outside the graph, a size over the budget,
+    then a terminal cycle that survives the deletion, which is the witness.
+    """
+    missing = sorted(v for v in solution if v not in inst.graph)
+    if missing:
+        return f"unknown vertices {missing}", None
+    if len(solution) > inst.k:
+        return f"solution size {len(solution)} exceeds budget {inst.k}", None
+    remaining = inst.graph.without_vertices(solution)
+    cycle = find_terminal_cycle(remaining, inst.terminals - solution)
+    if cycle is not None:
+        return "terminal cycle survives", cycle
     return None
 
 

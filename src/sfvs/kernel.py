@@ -30,7 +30,7 @@ from .expansion import (
     find_matching_expansion_with_witness,
     maximum_matching,
 )
-from .graph import GraphError, Instance, trivial_answer
+from .graph import GraphError, Instance, pack_triangles, trivial_answer
 from .solver import safe_deletion
 from .trace import RuleTrace, TraceEntry, apply_step, make_entry
 
@@ -199,26 +199,19 @@ def rule_degree_bound(state: KernelState) -> TraceEntry | None:
 def build_approx_partition(state: KernelState) -> ApproxPartition | None:
     """Greedily pack vertex-disjoint terminal triangles and classify the rest.
 
-    Each round adds one independent vertex plus two of its clique-side
-    neighbours, all fresh.  Packing more than k triangles certifies that no
-    solution of size k exists, reported as None.
+    The packing is :func:`~sfvs.graph.pack_triangles` from the independent
+    side.  An independent vertex's neighbours all lie in the clique side, so
+    each triangle is an independent vertex plus its two least clique-side
+    neighbours outside the packing.  Packing more than k triangles certifies
+    that no solution of size k exists, reported as None.
     """
     g = state.instance.graph
     k = state.instance.k
     kside, iside = state.clique_side, state.indep_side
-    s_tilde: set[int] = set()
-    while len(s_tilde) <= 3 * k:
-        found = None
-        for v in sorted(iside - s_tilde):
-            avail = sorted((g.neighbors(v) & kside) - s_tilde)
-            if len(avail) >= 2:
-                found = (v, avail[0], avail[1])
-                break
-        if found is None:
-            break
-        s_tilde |= set(found)
-    if len(s_tilde) > 3 * k:
+    packing = pack_triangles(g, iside, k)
+    if len(packing) > k:
         return None
+    s_tilde = set().union(*packing)
     k_s = kside & s_tilde
     i_s = iside & s_tilde
     k0 = {u for u in kside - k_s if (g.neighbors(u) & iside) <= i_s}

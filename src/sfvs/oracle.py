@@ -15,28 +15,20 @@ class OracleGuardError(ValueError):
     """Instance too large for subset enumeration."""
 
 
-def oracle_decide(
-    inst: Instance, max_n: int = ORACLE_VERTEX_CAP, method: str = "auto"
-) -> tuple[bool, set[int] | None]:
+def oracle_decide(inst: Instance, max_n: int = ORACLE_VERTEX_CAP) -> tuple[bool, set[int] | None]:
     """Exact decision plus a minimum-size, lexicographically least witness.
 
     Subsets are tried by increasing size, then in lexicographic vertex order.
     Chordal inputs use precomputed terminal-triangle bitmasks; everything else
-    falls back to a per-subset cycle check. `method` pins a path for testing.
+    falls back to a per-subset cycle check.
     """
     n = inst.graph.n
     if n > max_n:
         raise OracleGuardError(f"|V| = {n} exceeds the oracle cap {max_n}")
     inst.validate()
-    if method not in ("auto", "triangles", "cycles"):
-        raise ValueError(f"unknown oracle method {method!r}")
-    if method == "triangles" and chordality_order(inst.graph) is None:
-        raise ValueError("triangle-based oracle requires a chordal graph")
     if inst.k < 0:
         return False, None
-    if method == "auto":
-        method = "triangles" if chordality_order(inst.graph) is not None else "cycles"
-    if method == "triangles":
+    if chordality_order(inst.graph) is not None:
         return _decide_triangles(inst)
     return _decide_cycles(inst)
 
@@ -45,8 +37,8 @@ def _decide_triangles(inst: Instance) -> tuple[bool, set[int] | None]:
     order = inst.graph.vertices()
     bit = {v: 1 << i for i, v in enumerate(order)}
     masks = [
-        bit[t.a] | bit[t.b] | bit[t.c]
-        for t in all_t_triangles(inst.graph, inst.terminals)
+        bit[a] | bit[b] | bit[c]
+        for a, b, c in all_t_triangles(inst.graph, inst.terminals)
     ]
     if not masks:
         return True, set()

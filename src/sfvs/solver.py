@@ -33,7 +33,8 @@ from .graph import (
     Instance,
     connected_components,
     find_bridges,
-    is_t_forest,
+    pack_triangles,
+    solution_defect,
     trivial_answer,
 )
 from .trace import RuleTrace, TraceEntry, apply_step, make_entry
@@ -165,32 +166,20 @@ def lower_bound(inst: Instance) -> int:
     """A lower bound on the size of every solution of ``inst``.
 
     The larger of two counts, each a set of disjoint demands on the picks.
-    The packing takes the terminals in sorted order; an unused terminal t
-    packs the triangle {t, u, min(common)} with its first unused neighbour u
-    that has unused common neighbours with it.  It stops once the count
-    exceeds the budget.  The clique-partition bound (Akiba & Iwata 2016, on
-    the 3-Hitting-Set view) uses private terminals: degree 2, with adjacent
-    neighbours a and b that are not private terminals themselves.  Their
-    pairs a-b form a graph H, partitioned greedily into cliques.  A part Q
-    that keeps r members leaves r(r-1)/2 private triangles that only their
-    own terminals can hit, so Q costs at least |Q| - 1 picks, none of them
-    charged to another part.
+    The first is :func:`~sfvs.graph.pack_triangles` from the terminals,
+    which stops once the count exceeds the budget.  The clique-partition
+    bound (Akiba & Iwata 2016, on the 3-Hitting-Set view) uses private
+    terminals: degree 2, with adjacent neighbours a and b that are not
+    private terminals themselves.  Their pairs a-b form a graph H,
+    partitioned greedily into cliques.  A part Q that keeps r members
+    leaves r(r-1)/2 private triangles that only their own terminals can
+    hit, so Q costs at least |Q| - 1 picks, none of them charged to another
+    part.
     """
     g, terminals = inst.graph, inst.terminals
-    used: set[int] = set()
-    packed = 0
-    for t in sorted(terminals):
-        if t in used:
-            continue
-        free = g.neighbors(t) - used
-        for u in sorted(free):
-            common = free & g.neighbors(u)
-            if common:
-                used |= {t, u, min(common)}
-                packed += 1
-                break
-        if packed > inst.k:
-            return packed
+    packed = len(pack_triangles(g, terminals, inst.k))
+    if packed > inst.k:
+        return packed
     private = {t for t in terminals if g.degree(t) == 2 and g.is_clique(g.neighbors(t))}
     pairs: dict[int, set[int]] = {}
     for t in private:
@@ -448,9 +437,7 @@ def solve(inst: Instance) -> SolveResult:
         return SolveResult(False, None, stats.nodes, stats.max_depth, RuleTrace(), stats.pruned)
     trace = RuleTrace(path)
     picks = trace.picked_vertices()
-    if len(picks) > inst.k:
-        raise GraphError("solver assembled an oversized solution")
-    remaining = inst.graph.without_vertices(picks)
-    if not is_t_forest(remaining, inst.terminals - picks):
-        raise GraphError("solver solution fails re-verification on the input graph")
+    defect = solution_defect(inst, picks)
+    if defect is not None:
+        raise GraphError(f"solver solution fails re-verification: {defect[0]}")
     return SolveResult(True, picks, stats.nodes, stats.max_depth, trace, stats.pruned)

@@ -175,6 +175,25 @@ def min_subset_fvs(g: Graph, terminals, cap=None) -> set[int] | None:
     return None
 
 
+def kernel_packing(g: Graph, kside, iside, k) -> set[int] | None:
+    """The split kernel's greedy packing, rescanning from the start after each
+    triangle: the least independent vertex outside the packing with two free
+    clique-side neighbours joins it with the least two of them.  None once
+    more than k triangles are packed, else the packed vertices."""
+    s_tilde: set[int] = set()
+    while len(s_tilde) <= 3 * k:
+        found = None
+        for v in sorted(set(iside) - s_tilde):
+            avail = sorted((g.neighbors(v) & set(kside)) - s_tilde)
+            if len(avail) >= 2:
+                found = (v, avail[0], avail[1])
+                break
+        if found is None:
+            break
+        s_tilde |= set(found)
+    return None if len(s_tilde) > 3 * k else s_tilde
+
+
 def min_vertex_cover_size(g: Graph) -> int:
     vs = g.vertices()
     for size in range(len(vs) + 1):

@@ -208,6 +208,10 @@ class TestGenCommand:
                            "--n", "4", "--clique-side", "9")
         assert code == 2 and "clique side" in err
 
+    def test_size_cap(self, capsys):
+        code, out, err = run(capsys, "gen", "--family", "split-random", "--n", "1000000000000")
+        assert code == 2 and out == "" and "exceed the cap" in err
+
 
 class TestBenchCommand:
     SUITE = [

@@ -7,7 +7,7 @@ import pytest
 import brute
 from sfvs.chordal import require_chordal, require_split
 from sfvs.generators import FAMILIES, GenError, GenSpec, generate, generate_text
-from sfvs.graph import parse_instance
+from sfvs.graph import MAX_DECLARED_VERTICES, parse_instance
 from sfvs.oracle import oracle_decide
 from sfvs.solver import solve
 
@@ -114,3 +114,17 @@ class TestRejects:
             fields.update(overrides)
             with pytest.raises(GenError):
                 generate(GenSpec(**fields))
+
+    def test_size_cap(self):
+        # validate only: no instance near the cap is ever built
+        with pytest.raises(GenError):
+            GenSpec("split-random", 10**12, 1, 1).validate()
+        for family in ("split-random", "chordal-random", "planted"):
+            GenSpec(family, MAX_DECLARED_VERTICES, 1, 1).validate()
+            with pytest.raises(GenError):
+                GenSpec(family, MAX_DECLARED_VERTICES + 1, 1, 1).validate()
+        # vc-reduction: n source vertices plus one terminal per possible edge
+        assert 1413 * 1414 // 2 <= MAX_DECLARED_VERTICES < 1414 * 1415 // 2
+        GenSpec("vc-reduction", 1413, 1, 1).validate()
+        with pytest.raises(GenError):
+            GenSpec("vc-reduction", 1414, 1, 1).validate()

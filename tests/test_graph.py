@@ -8,7 +8,6 @@ from sfvs.graph import (
     GraphError,
     Instance,
     ParseError,
-    Triangle,
     all_t_triangles,
     connected_components,
     edge_key,
@@ -17,7 +16,9 @@ from sfvs.graph import (
     find_terminal_cycle,
     format_instance,
     is_t_forest,
+    pack_triangles,
     parse_instance,
+    solution_defect,
 )
 
 
@@ -83,12 +84,6 @@ class TestGraphBasics:
         with pytest.raises(GraphError):
             g.induced({1, 9})
 
-    def test_triangle_canonical_order(self):
-        assert Triangle(3, 1, 2) == (1, 2, 3)
-        assert Triangle(3, 1, 2).a == 1
-        with pytest.raises(GraphError):
-            Triangle(1, 1, 2)
-
 
 class TestBridges:
     def test_triangle_with_pendant(self):
@@ -127,6 +122,44 @@ class TestTriangleQueries:
     def test_terminal_must_exist(self):
         with pytest.raises(GraphError):
             find_t_triangle(graph_of((1, 2)), {9})
+
+    def test_packing_skips_packed_apexes(self):
+        # apex 2 lies on (1, 2, 3), packed first; unskipped it would pack (2, 4, 7)
+        g = complete([1, 2, 3, 4])
+        g.add_vertex(7)
+        g.add_edge(7, 2)
+        g.add_edge(7, 4)
+        assert pack_triangles(g, {1, 2}, 5) == [(1, 2, 3)]
+        assert pack_triangles(g, {2}, 5) == [(2, 1, 3)]
+        # 7's only triangle needs 2, which is packed
+        assert pack_triangles(g, {1, 7}, 5) == [(1, 2, 3)]
+        assert pack_triangles(g, {7}, 5) == [(7, 2, 4)]
+
+    def test_packing_stops_past_the_limit(self):
+        # four disjoint triangles, apexes 1, 4, 7, 10
+        g = graph_of(
+            *((3 * i + a, 3 * i + b) for i in range(4) for a, b in ((1, 2), (1, 3), (2, 3)))
+        )
+        apexes = {1, 4, 7, 10}
+        assert pack_triangles(g, apexes, 1) == [(1, 2, 3), (4, 5, 6)]
+        assert len(pack_triangles(g, apexes, 2)) == 3
+        assert len(pack_triangles(g, apexes, 3)) == 4
+        assert len(pack_triangles(g, apexes, 10)) == 4
+        assert pack_triangles(g, set(), 0) == []
+
+    def test_limit_zero_is_the_first_triangle(self):
+        rng = random.Random(1005)
+        found = 0
+        for _ in range(300):
+            inst = brute.random_instance(rng.randint(1, 9), rng.random(), 0.5, 0, rng)
+            packed = pack_triangles(inst.graph, inst.terminals, 0)
+            first = find_t_triangle(inst.graph, inst.terminals)
+            assert len(packed) <= 1
+            assert first == (tuple(sorted(packed[0])) if packed else None)
+            if first is not None:
+                found += 1
+                assert first in all_t_triangles(inst.graph, inst.terminals)
+        assert found > 100
 
     def test_matches_brute_on_random_graphs(self):
         rng = random.Random(1002)
@@ -176,6 +209,33 @@ class TestTForest:
             for a, b in zip(ring, ring[1:]):
                 assert inst.graph.has_edge(a, b)
         assert found > 50
+
+    def test_solution_defect_matches_brute(self):
+        rng = random.Random(1006)
+        seen = set()
+        for _ in range(300):
+            n = rng.randint(1, 8)
+            inst = brute.random_instance(n, rng.random(), 0.6, rng.randint(0, 3), rng)
+            solution = {v for v in range(1, n + 3) if rng.random() < 0.25}
+            defect = solution_defect(inst, solution)
+            missing = sorted(solution - inst.graph.vertex_set())
+            if missing:
+                assert defect == (f"unknown vertices {missing}", None)
+            elif len(solution) > inst.k:
+                assert defect == (f"solution size {len(solution)} exceeds budget {inst.k}", None)
+            else:
+                rest = inst.graph.without_vertices(solution)
+                if brute.is_t_forest(rest, inst.terminals - solution):
+                    assert defect is None
+                else:
+                    reason, cyc = defect
+                    assert reason == "terminal cycle survives"
+                    assert len(cyc) >= 3 and len(set(cyc)) == len(cyc)
+                    assert set(cyc) & (inst.terminals - solution)
+                    for a, b in zip(cyc, cyc[1:] + cyc[:1]):
+                        assert rest.has_edge(a, b)
+            seen.add(defect[0].split()[0] if defect else None)
+        assert seen == {"unknown", "solution", "terminal", None}
 
 
 class TestComponents:

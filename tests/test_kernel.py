@@ -333,6 +333,26 @@ class TestApproxPartition:
             assert len(ap.k_s) <= 2 * state.instance.k
             assert len(ap.i_s) <= state.instance.k
 
+    def test_packing_matches_restart_reference(self):
+        # every state along kernelization, the unreduced input first
+        rng = random.Random(41)
+        states = overfull = 0
+        for _ in range(500):
+            state = kernel_state(random_split_instance(rng, max_clique=9, max_indep=12))
+            while True:
+                ap = build_approx_partition(state)
+                g, k = state.instance.graph, state.instance.k
+                want = brute.kernel_packing(g, state.clique_side, state.indep_side, k)
+                assert (ap is None) == (want is None)
+                if ap is None:
+                    overfull += 1
+                else:
+                    assert ap.s_tilde == want
+                states += 1
+                if kernel_step(state) in (None, "yes", "no"):
+                    break
+        assert states >= 1000 and overfull >= 100
+
 
 class TestKernelize:
     def test_rejects_non_split(self):

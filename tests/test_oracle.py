@@ -3,6 +3,7 @@ import random
 import pytest
 
 import brute
+from sfvs import oracle
 from sfvs.graph import Graph, Instance, all_t_triangles
 from sfvs.oracle import OracleGuardError, oracle_decide, vc_to_sfvs
 
@@ -40,21 +41,6 @@ class TestOracleDecide:
             oracle_decide(inst)
         assert oracle_decide(inst, max_n=30) == (True, set())
 
-    def test_triangle_method_rejects_non_chordal(self):
-        inst = Instance(graph_of((1, 2), (2, 3), (3, 4), (4, 1)), {1}, 1)
-        with pytest.raises(ValueError):
-            oracle_decide(inst, method="triangles")
-
-    def test_unknown_method_rejected_on_negative_budget(self):
-        inst = Instance(complete([1, 2, 3]), {1}, -1)
-        with pytest.raises(ValueError):
-            oracle_decide(inst, method="bogus")
-
-    def test_triangle_method_rejects_non_chordal_on_negative_budget(self):
-        inst = Instance(graph_of((1, 2), (2, 3), (3, 4), (4, 1)), {1}, -1)
-        with pytest.raises(ValueError):
-            oracle_decide(inst, method="triangles")
-
     def test_witness_is_min_size_lex_least(self):
         rng = random.Random(4001)
         for _ in range(150):
@@ -75,9 +61,7 @@ class TestOracleDecide:
             g = random_chordal(rng.randint(1, 9), rng, connect=rng.random() < 0.7)
             terms = {v for v in g.vertices() if rng.random() < 0.5}
             inst = Instance(g, terms, rng.randint(0, 3))
-            tri = oracle_decide(inst, method="triangles")
-            cyc = oracle_decide(inst, method="cycles")
-            assert tri == cyc
+            assert oracle._decide_triangles(inst) == oracle._decide_cycles(inst)
 
 
 class TestExport3HS:
