@@ -312,7 +312,9 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except (ParseError, GenError, FileNotFoundError, GraphError) as exc:
+    except (
+        ParseError, GenError, GraphError, OSError, UnicodeDecodeError, json.JSONDecodeError
+    ) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except NotChordalError as exc:

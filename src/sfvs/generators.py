@@ -82,9 +82,7 @@ def _split_random(spec: GenSpec, rng: random.Random) -> Instance:
     iside = list(range(spec.clique_side + 1, spec.n + 1))
     for v in range(1, spec.n + 1):
         g.add_vertex(v)
-    for i, u in enumerate(kside):
-        for w in kside[i + 1 :]:
-            g.add_edge(u, w)
+    _realize(g, kside)
     for u in kside:
         for w in iside:
             if rng.random() < spec.edge_prob:

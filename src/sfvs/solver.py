@@ -1,19 +1,19 @@
 """Branch-and-reduce solver for subset feedback vertex set on chordal graphs.
 
 A search node first drives the reduction rules to a fixpoint, then cuts
-its subtree when :func:`lower_bound` exceeds the budget, and otherwise takes
-the step :func:`applicable_branch` selects.  The reductions share the kernel's
-trivial decision and delete every match per pass: all clique components, all
-non-terminals without a terminal neighbour, all bridges (the last two are
-:func:`safe_deletion`, which the kernel uses too).  Branching uses the
-least-indexed applicable rule.  Six local rules branch on a constant number
-of vertices around small simplicial cliques or big cliques; once none
-applies, every simplicial clique has exactly four vertices whose unique
-simplicial vertex is its only terminal, and a seventh rule branches over a
-deepest leaf clique of the clique tree together with two sibling leaf
-cliques.  A reduced component whose clique tree has at most two nodes
-always meets one of the six local rules, so the seventh always finds a tree
-of at least three nodes.
+its subtree when :func:`lower_bound` exceeds the budget, and otherwise
+branches.  The reductions share the kernel's trivial decision and delete
+every match per pass: all clique components, all non-terminals without a
+terminal neighbour, all bridges (the last two are :func:`safe_deletion`,
+which the kernel uses too).  One function, :func:`applicable_branch`, picks
+the branch: it tries seven rules in order and takes the first that applies.
+Six local rules branch on a constant number of vertices around small
+simplicial cliques or big cliques; once none applies, every simplicial
+clique has exactly four vertices whose unique simplicial vertex is its only
+terminal, and a seventh rule branches over a deepest leaf clique of the
+clique tree together with two sibling leaf cliques.  A reduced component
+whose clique tree has at most two nodes always meets one of the six local
+rules, so the seventh always finds a tree of at least three nodes.
 
 Every reduction and every branch child is a :class:`~sfvs.trace.TraceEntry`
 performed by :func:`~sfvs.trace.apply_step`: it deletes the listed vertices
@@ -56,31 +56,6 @@ class SolveResult:
     max_depth: int
     trace: RuleTrace
     pruned: int = 0
-
-
-@dataclass
-class MegaBranchContext:
-    """Cliques and labels feeding the seven-way leaf-cascade branch.
-
-    ``c_ell`` is a deepest leaf {t,x,y,z} with simplicial terminal t,
-    ``c_p`` its parent, and ``c_x``/``c_y`` sibling leaves meeting c_ell in
-    exactly {x} and {y}.  ``shared`` is the single vertex of c_x ∩ c_y when
-    the two sides overlap.
-    """
-
-    c_ell: frozenset[int]
-    c_p: frozenset[int]
-    c_x: frozenset[int]
-    c_y: frozenset[int]
-    t: int
-    x: int
-    y: int
-    z: int
-    t_x: int
-    t_y: int
-    x_pair: tuple[int, int]
-    y_pair: tuple[int, int]
-    shared: int | None
 
 
 class _Stats:
@@ -201,11 +176,13 @@ def lower_bound(inst: Instance) -> int:
     return max(packed, cover)
 
 
-def _simple_branch(inst: Instance):
-    """Least-indexed applicable local branching rule, or None.
+def applicable_branch(inst: Instance):
+    """The step the solver takes on an already-reduced instance, or None.
 
     Returns (rule name, children) where each child is a pair of the vertex
-    set to delete and the subset of it picked into the solution.
+    set to delete and the subset of it picked into the solution.  The first
+    applicable rule wins: six local rules, then the leaf-cascade rule on the
+    first component.  None on an empty graph.
     """
     g, terminals = inst.graph, inst.terminals
     # rule 1: non-terminal with exactly one terminal neighbour, sharing a
@@ -221,10 +198,16 @@ def _simple_branch(inst: Instance):
         if common:
             x = min(common)
             return "lone-terminal-neighbor", [({t}, {t}), ({x}, {x})]
+    # rules 2, 4, 5 and 6 look at simplicial vertices in cliques of size
+    # three or four: (v, sorted N(v)) in vertex order
+    small = [
+        (v, g.sorted_neighbors(v))
+        for v in g.vertices()
+        if g.degree(v) in (2, 3) and g.is_clique(g.neighbors(v))
+    ]
     # rule 2: simplicial vertex whose clique has size three
-    for v in g.vertices():
-        nb = g.sorted_neighbors(v)
-        if len(nb) == 2 and g.has_edge(nb[0], nb[1]):
+    for v, nb in small:
+        if len(nb) == 2:
             a, b = nb
             return "triangle-simplicial", [({v, a}, {a}), ({v, b}, {b})]
     # rule 3: clique of size at least five containing a terminal
@@ -238,39 +221,29 @@ def _simple_branch(inst: Instance):
         t = min(clique & terminals)
         a, b, c, d = sorted(clique - {t})[:4]
         return "big-clique", [({t}, {t}), ({a, b}, {a, b}), ({c, d}, {c, d})]
-    # rule 4: simplicial non-terminal in a size-4 clique with a terminal
-    for v in g.vertices():
-        if v in terminals:
-            continue
-        nb = g.sorted_neighbors(v)
-        if len(nb) == 3 and g.is_clique(nb):
-            tn = set(nb) & terminals
-            if tn:
-                t = min(tn)
-                x, y = sorted(set(nb) - {t})
-                return "nonterminal-simplicial", [({t}, {t}), ({v, x, y}, {x, y})]
+    # rule 4: simplicial non-terminal in a size-4 clique with a terminal;
+    # past rule 2, every clique in ``small`` has size four
+    for v, nb in small:
+        tn = set(nb) & terminals
+        if v not in terminals and tn:
+            t = min(tn)
+            x, y = sorted(set(nb) - {t})
+            return "nonterminal-simplicial", [({t}, {t}), ({v, x, y}, {x, y})]
+    # rules 5 and 6 start from a simplicial terminal
+    terminal_fours = [(t, nb) for t, nb in small if t in terminals]
     # rule 5: simplicial terminal whose size-4 clique has a second terminal
-    for t in sorted(terminals):
-        if t not in g:
-            continue
-        nb = g.sorted_neighbors(t)
-        if len(nb) == 3 and g.is_clique(nb):
-            others = sorted(set(nb) & terminals)
-            if others:
-                x = others[0]
-                y, z = sorted(set(nb) - {x})
-                return (
-                    "twin-terminal-simplicial",
-                    [({x, y}, {x, y}), ({y, z}, {y, z}), ({x, z}, {x, z})],
-                )
+    for t, nb in terminal_fours:
+        others = sorted(set(nb) & terminals)
+        if others:
+            x = others[0]
+            y, z = sorted(set(nb) - {x})
+            return (
+                "twin-terminal-simplicial",
+                [({x, y}, {x, y}), ({y, z}, {y, z}), ({x, z}, {x, z})],
+            )
     # rule 6: simplicial terminal plus an outside terminal adjacent to two
     # of its clique partners
-    for t in sorted(terminals):
-        if t not in g:
-            continue
-        nb = g.sorted_neighbors(t)
-        if len(nb) != 3 or not g.is_clique(nb):
-            continue
+    for t, nb in terminal_fours:
         for t2 in sorted(terminals - {t} - set(nb)):
             seen = sorted(g.neighbors(t2) & set(nb))
             if len(seen) < 2:
@@ -286,16 +259,27 @@ def _simple_branch(inst: Instance):
                     ({t, t2}, {t, t2}),
                 ],
             )
-    return None
+    # rule 7: the leaf-cascade branch on the first component
+    comps = connected_components(g)
+    if not comps:
+        return None
+    comp = comps[0]
+    return "sibling-leaf-cliques", select_mega_context(g.induced(comp), terminals & set(comp))
 
 
-def select_mega_context(g: Graph, terminals: set[int]) -> MegaBranchContext:
-    """Locate the deepest leaf clique and two sibling leaves for branching.
+def select_mega_context(g: Graph, terminals: set[int]) -> list[tuple[set[int], set[int]]]:
+    """The seven children of the leaf-cascade branch; deleted and picked coincide.
 
     ``g`` must be a connected chordal graph whose clique tree has at least
-    three nodes, with every local rule already inapplicable.  Violations of
-    the resulting structural guarantees raise GraphError: they indicate a
-    rule-ordering bug, not a property of the input.
+    three nodes, with every local rule already inapplicable.  The branch
+    looks at a deepest leaf clique {t, x, y, z} with simplicial terminal t
+    and at two sibling leaves below the same parent that meet it in exactly
+    {x} and {y}; their simplicial terminals are t_x and t_y, and their other
+    two vertices are x_pair and y_pair.  When the two pairs share a vertex
+    the fourth child's set union shrinks by one, which is exactly the
+    intended smaller budget drop.  Violations of the resulting structural
+    guarantees raise GraphError: they indicate a rule-ordering bug, not a
+    property of the input.
     """
     tree = build_clique_tree(g)
     if len(tree.cliques) < 3:
@@ -308,8 +292,8 @@ def select_mega_context(g: Graph, terminals: set[int]) -> MegaBranchContext:
     t = _leaf_terminal(g, terminals, c_ell)
     p_idx = parent[c_ell_idx]
     c_p = set(tree.cliques[p_idx])
-    xyz = sorted(c_ell - {t})
-    if not set(xyz) <= c_p:
+    xyz = c_ell - {t}
+    if not xyz <= c_p:
         raise GraphError("leaf clique not contained in its parent plus t")
     if c_p & terminals:
         raise GraphError("parent clique holds a terminal after local rules")
@@ -327,33 +311,25 @@ def select_mega_context(g: Graph, terminals: set[int]) -> MegaBranchContext:
     if len(groups) < 2:
         raise GraphError("fewer than two attachable sibling leaves")
     x, y = sorted(groups)[:2]
-    z = (set(xyz) - {x, y}).pop()
-    c_x_idx = min(groups[x])
-    c_y_idx = min(groups[y])
-    c_x = set(tree.cliques[c_x_idx])
-    c_y = set(tree.cliques[c_y_idx])
+    z = (xyz - {x, y}).pop()
+    c_x = set(tree.cliques[min(groups[x])])
+    c_y = set(tree.cliques[min(groups[y])])
     t_x = _leaf_terminal(g, terminals, c_x)
     t_y = _leaf_terminal(g, terminals, c_y)
-    x_pair = tuple(sorted(c_x - {t_x, x}))
-    y_pair = tuple(sorted(c_y - {t_y, y}))
-    overlap = set(x_pair) & set(y_pair)
-    if len(overlap) > 1:
+    x_pair = c_x - {t_x, x}
+    y_pair = c_y - {t_y, y}
+    if len(x_pair & y_pair) > 1:
         raise GraphError("sibling leaves share more than one vertex")
-    return MegaBranchContext(
-        c_ell=frozenset(c_ell),
-        c_p=frozenset(c_p),
-        c_x=frozenset(c_x),
-        c_y=frozenset(c_y),
-        t=t,
-        x=x,
-        y=y,
-        z=z,
-        t_x=t_x,
-        t_y=t_y,
-        x_pair=x_pair,
-        y_pair=y_pair,
-        shared=overlap.pop() if overlap else None,
-    )
+    sets = [
+        {t, t_x, t_y},
+        {t, t_x} | y_pair,
+        {t, t_y} | x_pair,
+        {t} | x_pair | y_pair,
+        {x},
+        {y, z, t_x},
+        {y, z} | x_pair,
+    ]
+    return [(s, set(s)) for s in sets]
 
 
 def _leaf_terminal(g: Graph, terminals: set[int], clique: set[int]) -> int:
@@ -364,41 +340,6 @@ def _leaf_terminal(g: Graph, terminals: set[int], clique: set[int]) -> int:
     if g.neighbors(t) | {t} != clique:
         raise GraphError("leaf clique terminal is not simplicial")
     return t
-
-
-def mega_children(ctx: MegaBranchContext) -> list[tuple[set[int], set[int]]]:
-    """The seven branch children; deleted and picked sets coincide.
-
-    When the two side cliques share a vertex the fourth child's set union
-    shrinks by one, which is exactly the intended smaller budget drop.
-    """
-    sets = [
-        {ctx.t, ctx.t_x, ctx.t_y},
-        {ctx.t, ctx.t_x} | set(ctx.y_pair),
-        {ctx.t, ctx.t_y} | set(ctx.x_pair),
-        {ctx.t} | set(ctx.x_pair) | set(ctx.y_pair),
-        {ctx.x},
-        {ctx.y, ctx.z, ctx.t_x},
-        {ctx.y, ctx.z} | set(ctx.x_pair),
-    ]
-    return [(s, set(s)) for s in sets]
-
-
-def applicable_branch(inst: Instance):
-    """The step the solver takes on an already-reduced instance.
-
-    Local rules first, otherwise the leaf-cascade rule on the first
-    component.  None on an empty graph.
-    """
-    spec = _simple_branch(inst)
-    if spec is not None:
-        return spec
-    comps = connected_components(inst.graph)
-    if not comps:
-        return None
-    comp = comps[0]
-    ctx = select_mega_context(inst.graph.induced(comp), inst.terminals & set(comp))
-    return "sibling-leaf-cliques", mega_children(ctx)
 
 
 def _search(inst: Instance, depth: int, stats: _Stats) -> list[TraceEntry] | None:

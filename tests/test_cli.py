@@ -81,6 +81,16 @@ class TestSolveCommand:
         code, _, err = run(capsys, "solve", "-i", str(tmp_path / "absent.txt"))
         assert code == 2 and err
 
+    def test_non_utf8_file(self, capsys, tmp_path):
+        path = tmp_path / "latin1.txt"
+        path.write_bytes(TRIANGLE.encode() + b"c caf\xe9\n")
+        code, out, err = run(capsys, "solve", "-i", str(path))
+        assert code == 2 and err.startswith("error:") and out == ""
+
+    def test_directory_input(self, capsys, tmp_path):
+        code, out, err = run(capsys, "solve", "-i", str(tmp_path))
+        assert code == 2 and err.startswith("error:") and out == ""
+
 
 class TestKernelizeCommand:
     def test_reduced_with_emitted_kernel(self, capsys, tmp_path):
@@ -266,3 +276,9 @@ class TestBenchCommand:
         path.write_text(json.dumps({"not": "a list"}))
         code, _, err = run(capsys, "bench", "--suite", str(path))
         assert code == 2 and "array" in err
+
+    def test_truncated_suite(self, capsys, tmp_path):
+        path = tmp_path / "suite.json"
+        path.write_text(json.dumps(self.SUITE)[:40])
+        code, out, err = run(capsys, "bench", "--suite", str(path))
+        assert code == 2 and err.startswith("error:") and out == ""

@@ -13,7 +13,6 @@ from sfvs.oracle import oracle_decide, vc_to_sfvs
 from sfvs.solver import (
     applicable_branch,
     lower_bound,
-    mega_children,
     reduce_fixpoint,
     select_mega_context,
     solve,
@@ -325,6 +324,39 @@ class TestBranchSelection:
             ({7, 8}, {7, 8}),
         ]
 
+    def test_big_clique_before_nonterminal_simplicial(self):
+        # 6 is a simplicial non-terminal beside terminals 2 and 3 (rule 4),
+        # but the K5 on 1..5 holds a terminal (rule 3)
+        g = complete([1, 2, 3, 4, 5])
+        g.add_vertex(6)
+        for u in (2, 3, 4):
+            g.add_edge(6, u)
+        inst = Instance(g, {1, 2, 3}, 3)
+        rule, children = applicable_branch(inst)
+        assert rule == "big-clique"
+        assert children == [({1}, {1}), ({2, 3}, {2, 3}), ({4, 5}, {4, 5})]
+
+    def test_triangle_simplicial_before_nonterminal_simplicial(self):
+        # 5 is a simplicial non-terminal in {2,3,4,5} (rule 4), 6 a
+        # simplicial vertex of the triangle {2,3,6} (rule 2)
+        g = complete([1, 2, 3, 4])
+        add_clique(g, [2, 3, 4, 5])
+        add_clique(g, [2, 3, 6])
+        inst = Instance(g, {2, 3}, 2)
+        rule, children = applicable_branch(inst)
+        assert rule == "triangle-simplicial"
+        assert children == [({2, 6}, {2}), ({3, 6}, {3})]
+
+    def test_twin_terminal_simplicial_before_outside_terminal_pair(self):
+        # terminal 1's clique holds terminal 2 (rule 5), and the outside
+        # terminal 5 sees two of its partners, 3 and 4 (rule 6)
+        g = complete([1, 2, 3, 4])
+        add_clique(g, [3, 4, 5, 6])
+        inst = Instance(g, {1, 2, 5, 6}, 3)
+        rule, children = applicable_branch(inst)
+        assert rule == "twin-terminal-simplicial"
+        assert children == [({2, 3}, {2, 3}), ({3, 4}, {3, 4}), ({2, 4}, {2, 4})]
+
     def test_reduced_instances_reach_each_rule(self):
         # every construction above sits at a reduce fixpoint already
         for make, expect in [
@@ -337,46 +369,59 @@ class TestBranchSelection:
 
 
 class TestMegaContext:
-    def test_pasch_context(self):
+    def test_pasch_children(self):
+        # deepest leaf {1,2,3,7} with t=7, x=1, y=2, z=3; sibling leaves
+        # {1,4,5,8} and {2,4,6,9} give t_x=8, t_y=9 and pairs {4,5}, {4,6}
         inst = pasch_instance(4)
-        ctx = select_mega_context(inst.graph, inst.terminals)
-        assert sorted(ctx.c_ell) == [1, 2, 3, 7]
-        assert (ctx.t, ctx.x, ctx.y, ctx.z) == (7, 1, 2, 3)
-        assert (ctx.t_x, ctx.t_y) == (8, 9)
-        assert ctx.x_pair == (4, 5) and ctx.y_pair == (4, 6)
-        assert ctx.shared == 4
-
-    def test_eight_point_context_has_disjoint_pairs(self):
-        inst = eight_point_instance(4)
-        ctx = select_mega_context(inst.graph, inst.terminals)
-        assert ctx.shared is None
-        assert not set(ctx.x_pair) & set(ctx.y_pair)
-
-    def test_context_cliques_are_cliques(self):
-        inst = pasch_instance(4)
-        g = inst.graph
-        ctx = select_mega_context(g, inst.terminals)
-        for cl in (ctx.c_ell, ctx.c_p, ctx.c_x, ctx.c_y):
-            assert g.is_clique(cl)
-        assert set(ctx.x_pair) <= ctx.c_x and set(ctx.y_pair) <= ctx.c_y
-
-    def test_children_shapes(self):
-        inst = pasch_instance(4)
-        ctx = select_mega_context(inst.graph, inst.terminals)
-        children = mega_children(ctx)
-        assert len(children) == 7
-        assert children[4] == ({ctx.x}, {ctx.x})
+        children = select_mega_context(inst.graph, inst.terminals)
+        assert [sorted(picked) for _, picked in children] == [
+            [7, 8, 9],
+            [4, 6, 7, 8],
+            [4, 5, 7, 9],
+            [4, 5, 6, 7],
+            [1],
+            [2, 3, 8],
+            [2, 3, 4, 5],
+        ]
         for deleted, picked in children:
             assert deleted == picked
-        # shared side vertex makes the fourth child one pick smaller
-        assert len(children[3][1]) == 4
-        inst8 = eight_point_instance(4)
-        ctx8 = select_mega_context(inst8.graph, inst8.terminals)
-        assert len(mega_children(ctx8)[3][1]) == 5
+
+    def test_children_shapes(self):
+        # the eight-point pairs are disjoint, so the fourth child keeps all
+        # five picks where the pasch child above has four
+        inst = eight_point_instance(4)
+        children = select_mega_context(inst.graph, inst.terminals)
+        assert len(children) == 7
+        for deleted, picked in children:
+            assert deleted == picked
+        assert len(children[3][1]) == 5
 
     def test_rejects_small_tree(self):
         with pytest.raises(GraphError):
             select_mega_context(complete([1, 2, 3]), {1})
+
+    @pytest.mark.parametrize(
+        "parent, triples, extra_terminals, message",
+        [
+            # the leaves on (1, 4, 5) and (2, 4, 5) share the pair {4, 5}
+            ([1, 2, 3, 4, 5], [(1, 2, 3), (1, 4, 5), (2, 4, 5)], set(), "share more than one"),
+            ([1, 2, 3, 4, 5], [(1, 2, 3), (3, 4, 5)], set(), "fewer than two"),
+            ([1, 2, 3, 4], [(1, 2, 3), (1, 2, 4)], set(), "meets the leaf in two"),
+            ([1, 2, 3, 4, 5, 6], [(1, 2, 3), (1, 4, 5), (2, 4, 6)], {6}, "parent clique holds"),
+        ],
+    )
+    def test_rejects_broken_leaf_forests(self, parent, triples, extra_terminals, message):
+        inst = leaf_forest(parent, triples, len(parent) + 1)
+        with pytest.raises(GraphError, match=message):
+            select_mega_context(inst.graph, inst.terminals | extra_terminals)
+
+    def test_rejects_terminal_free_leaves(self):
+        # a path of three triangles: the leaves are neither size 4 nor hold a terminal
+        g = complete([1, 2, 3])
+        add_clique(g, [3, 4, 5])
+        add_clique(g, [5, 6, 7])
+        with pytest.raises(GraphError, match="not a size-4 clique with one terminal"):
+            select_mega_context(g, set())
 
 
 class TestMegaSolve:
