@@ -6,10 +6,12 @@ decides the instance outright or shrinks it while preserving the answer.
 The three safe deletions (isolated vertices, non-terminals without a
 terminal neighbour, bridges) remove every match in one step, since deleting
 one match never stops another from matching; the last two are the solver's
-:func:`~sfvs.solver.safe_deletion`.  The other rules act on one vertex or
-edge per step.  Every rule returns the :class:`~sfvs.trace.TraceEntry` it
-would perform, decisions included, and :meth:`KernelState.apply` performs
-it, so the kernel's trace is its edit script.
+:func:`~sfvs.solver.safe_deletion`, which here finds bridges with
+:func:`pendant_edges` off the partition instead of a whole-graph search.
+The other rules act on one vertex or edge per step.  Every rule returns the
+:class:`~sfvs.trace.TraceEntry` it would perform, decisions included, and
+:meth:`KernelState.apply` performs it, so the kernel's trace is its edit
+script.
 When no rule applies the surviving instance is a kernel: its clique side has
 at most 10k vertices, every clique-side vertex has at most k independent
 neighbours, and so the whole kernel has at most 10k + 10k^2 vertices.
@@ -30,7 +32,7 @@ from .expansion import (
     find_matching_expansion_with_witness,
     maximum_matching,
 )
-from .graph import GraphError, Instance, pack_triangles, trivial_answer
+from .graph import Graph, GraphError, Instance, pack_triangles, trivial_answer
 from .solver import safe_deletion
 from .trace import RuleTrace, TraceEntry, apply_step, make_entry
 
@@ -143,6 +145,18 @@ def rule_delete_isolates(state: KernelState) -> TraceEntry | None:
     if not isolated:
         return None
     return make_entry("delete-isolated", deleted_vertices=isolated)
+
+
+def pendant_edges(g: Graph, indep_side: set[int]) -> list[tuple[int, int]]:
+    """The bridges of a state that :func:`rule_yes_no` leaves undecided.
+
+    They are the edges to independent vertices of degree 1.  An undecided
+    state has k >= 1 and a clique side of at least k + 2 >= 3 vertices, so
+    a clique edge lies on a triangle with a third clique vertex, and an edge
+    (u, i) with i of degree at least 2 lies on a triangle with i's other
+    neighbour, which is on the clique side too.  A pendant edge is a bridge.
+    """
+    return [(next(iter(g.neighbors(i))), i) for i in indep_side if g.degree(i) == 1]
 
 
 def rule_pick_clique_terminals(state: KernelState) -> TraceEntry | None:
@@ -287,7 +301,7 @@ def kernel_step(state: KernelState) -> str | bool | None:
     step = (
         rule_yes_no(state)
         or rule_delete_isolates(state)
-        or safe_deletion(state.instance)
+        or safe_deletion(state.instance, lambda g: pendant_edges(g, state.indep_side))
         or rule_pick_clique_terminals(state)
         or rule_max_matching(state)
         or rule_degree_bound(state)

@@ -24,6 +24,7 @@ on that trace, re-verified against the untouched input graph.
 
 from __future__ import annotations
 
+from collections.abc import Callable, Iterable
 from dataclasses import dataclass
 
 from .chordal import build_clique_tree, maximal_cliques, require_chordal
@@ -67,7 +68,9 @@ class _Stats:
         self.pruned = 0
 
 
-def safe_deletion(inst: Instance) -> TraceEntry | None:
+def safe_deletion(
+    inst: Instance, bridges_of: Callable[[Graph], Iterable[tuple[int, int]]] | None = None
+) -> TraceEntry | None:
     """Delete every lonely non-terminal, or else every bridge; else None.
 
     A non-terminal with no terminal neighbour is lonely: every cycle through
@@ -76,12 +79,18 @@ def safe_deletion(inst: Instance) -> TraceEntry | None:
     terminals, so all lonely vertices can go in one step.  A bridge lies on
     no cycle, and deleting one bridge never puts another on a cycle, so all
     bridges can go in one step too.
+
+    ``bridges_of`` lists the graph's bridges.  The solver leaves it None,
+    which runs Tarjan's whole-graph :func:`~sfvs.graph.find_bridges`; the
+    kernel reads them off its split partition as pendant edges.
     """
     g, terminals = inst.graph, inst.terminals
     lonely = [v for v in g.vertices() if v not in terminals and not (g.neighbors(v) & terminals)]
     if lonely:
         return make_entry("no-terminal-neighbor", deleted_vertices=lonely)
-    bridges = find_bridges(g)
+    # resolved per call, not bound as a default, so rebinding the module's
+    # find_bridges (say, to wrap it) reaches this call too
+    bridges = (bridges_of or find_bridges)(g)
     if bridges:
         return make_entry("delete-bridge", deleted_edges=bridges)
     return None

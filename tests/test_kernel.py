@@ -6,7 +6,8 @@ import pytest
 
 import brute
 from sfvs.chordal import NotSplitError
-from sfvs.graph import Graph, Instance
+from sfvs.generators import GenSpec, generate
+from sfvs.graph import Graph, Instance, find_bridges
 from sfvs.kernel import (
     KernelState,
     bipartite_around,
@@ -217,6 +218,35 @@ class TestRuleFirings:
         assert 7 in state.instance.graph
         assert state.instance.graph.degree(7) == 0
         assert state.instance.graph.degree(8) == 0
+
+    def test_bridges_match_tarjan_at_every_step(self):
+        # the kernel reads bridges off the partition as pendant edges; the
+        # whole-graph search must agree on the graph each step starts from;
+        # bridges may remain only while a rule before pick-clique-terminal fires
+        earlier = {"decide-yes", "decide-no", "delete-isolated", "no-terminal-neighbor", "delete-bridge"}
+        rng = random.Random(48)
+        insts = [random_split_instance(rng) for _ in range(1500)]
+        for seed, (n, p, k) in enumerate([(250, 0.03, 16), (260, 0.04, 16), (270, 0.15, 8), (280, 0.15, 12)]):
+            insts.append(generate(GenSpec("split-random", n, k, seed, clique_side=25, edge_prob=p)))
+        fired = later = 0
+        for inst in insts:
+            state = kernel_state(inst)
+            while True:
+                before = find_bridges(state.instance.graph)
+                out = kernel_step(state)
+                if out is None:
+                    assert not before
+                    break
+                step = state.trace.steps[-1]
+                if step.rule == "delete-bridge":
+                    fired += 1
+                    assert set(step.deleted_edges) == before
+                elif step.rule not in earlier:
+                    later += 1
+                    assert not before
+                if isinstance(out, str):
+                    break
+        assert fired >= 100 and later >= 300
 
     def test_pick_clique_terminal(self):
         inst = covered_triangle_base({3, 4, 5, 6}, 1)

@@ -162,3 +162,19 @@ def test_solve_is_deterministic(g, data):
         second.pruned,
     )
     assert [e.to_dict() for e in first.trace] == [e.to_dict() for e in second.trace]
+
+
+# drawn split instances and reduced-prone ones with budget at most 3 both
+# stay within 16 vertices, where the oracle's subset enumeration is quick
+@FEWER
+@hypothesis.given(
+    st.one_of(
+        split_instances(),
+        st.integers(0, 2**32).map(lambda seed: reduced_prone_instance(random.Random(seed), 3)),
+    )
+)
+def test_kernelize_preserves_the_decision(inst):
+    assert inst.graph.n <= 16
+    out = kernelize(inst)
+    got = oracle_decide(out.instance)[0] if out.kind == "reduced" else out.decision()
+    assert got == oracle_decide(inst)[0]
