@@ -3,7 +3,7 @@
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Iterable, Iterator
+from typing import Iterable, ItemsView
 
 
 class GraphError(ValueError):
@@ -84,6 +84,13 @@ class Graph:
 
     def degree(self, v: int) -> int:
         return len(self.neighbors(v))
+
+    def adjacency(self) -> ItemsView[int, set[int]]:
+        """(vertex, neighbour set) pairs in no fixed order, for whole-graph sweeps.
+
+        The sets are the graph's own: read them, never mutate them.
+        """
+        return self._adj.items()
 
     def edges(self) -> list[tuple[int, int]]:
         return sorted(
@@ -177,38 +184,46 @@ class Instance:
 
 def connected_components(g: Graph) -> list[list[int]]:
     """Components as sorted vertex lists, ordered by smallest member."""
+    adj = g._adj
     seen: set[int] = set()
     comps = []
-    for s in g.vertices():
+    for s in adj:
         if s in seen:
             continue
         comp = [s]
         seen.add(s)
         stack = [s]
         while stack:
-            v = stack.pop()
-            for w in g.neighbors(v):
+            for w in adj[stack.pop()]:
                 if w not in seen:
                     seen.add(w)
                     comp.append(w)
                     stack.append(w)
-        comps.append(sorted(comp))
+        comp.sort()
+        comps.append(comp)
+    comps.sort()
     return comps
 
 
 def find_bridges(g: Graph) -> set[tuple[int, int]]:
-    """All cut edges, by iterative DFS low-point computation."""
+    """All cut edges, by iterative DFS low-point computation.
+
+    The DFS walks the adjacency sets in whatever order they iterate: the
+    set of bridges does not depend on the visit order, only the DFS tree
+    does.
+    """
+    adj = g._adj
     disc: dict[int, int] = {}
     low: dict[int, int] = {}
     bridges: set[tuple[int, int]] = set()
     counter = 0
-    for root in g.vertices():
+    for root in adj:
         if root in disc:
             continue
-        # stack entries: (vertex, parent, iterator over sorted neighbors)
+        # stack entries: (vertex, parent, iterator over its neighbours)
         disc[root] = low[root] = counter
         counter += 1
-        stack = [(root, None, iter(g.sorted_neighbors(root)))]
+        stack = [(root, None, iter(adj[root]))]
         while stack:
             v, parent, it = stack[-1]
             advanced = False
@@ -216,18 +231,19 @@ def find_bridges(g: Graph) -> set[tuple[int, int]]:
                 if w not in disc:
                     disc[w] = low[w] = counter
                     counter += 1
-                    stack.append((w, v, iter(g.sorted_neighbors(w))))
+                    stack.append((w, v, iter(adj[w])))
                     advanced = True
                     break
-                elif w != parent:
-                    low[v] = min(low[v], disc[w])
+                elif w != parent and disc[w] < low[v]:
+                    low[v] = disc[w]
                 # parallel edges cannot occur in a simple graph, so a single
                 # parent skip is sound
             if not advanced:
                 stack.pop()
                 if stack:
                     pv = stack[-1][0]
-                    low[pv] = min(low[pv], low[v])
+                    if low[v] < low[pv]:
+                        low[pv] = low[v]
                     if low[v] > disc[pv]:
                         bridges.add(edge_key(pv, v))
     return bridges
@@ -381,25 +397,67 @@ MAX_DECLARED_VERTICES = 1_000_000
 
 
 def parse_instance(text: str) -> Instance:
-    """Parse instance text, raising ParseError with a line number on bad input."""
-    graph: Graph | None = None
+    """Parse instance text, raising ParseError with a line number on bad input.
+
+    One pass fills the adjacency sets directly.  The problem line allocates
+    vertices 1..n, so an id is in range exactly when it is a key.  Blank
+    lines and lines whose first field starts with "c" are skipped.
+    """
+    adj: dict[int, set[int]] | None = None
     terminals: set[int] = set()
     declared_m = 0
     declared_n = 0
     k = 0
-    edges_read = 0
 
     def fail(lineno: int, msg: str) -> None:
         raise ParseError(f"line {lineno}: {msg}")
 
     for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.strip()
-        if not line or line.startswith("c"):
+        fields = raw.split()
+        if not fields:
             continue
-        fields = line.split()
         tag = fields[0]
-        if tag == "p":
-            if graph is not None:
+        if tag == "e":
+            if adj is None:
+                fail(lineno, "'e' line before the problem line")
+            if len(fields) != 3:
+                fail(lineno, f"malformed 'e' line {raw.strip()!r}")
+            try:
+                u = int(fields[1])
+                v = int(fields[2])
+            except ValueError:
+                fail(lineno, f"non-integer vertex id in {raw.strip()!r}")
+            nbrs_u = adj.get(u)
+            if nbrs_u is None:
+                fail(lineno, f"vertex {u} out of range 1..{declared_n}")
+            nbrs_v = adj.get(v)
+            if nbrs_v is None:
+                fail(lineno, f"vertex {v} out of range 1..{declared_n}")
+            if u == v:
+                fail(lineno, f"self-loop at {u}")
+            if v in nbrs_u:
+                fail(lineno, f"duplicate edge ({u}, {v})")
+            nbrs_u.add(v)
+            nbrs_v.add(u)
+        elif tag == "t":
+            if adj is None:
+                fail(lineno, "'t' line before the problem line")
+            if len(fields) != 2:
+                fail(lineno, f"malformed 't' line {raw.strip()!r}")
+            try:
+                t = int(fields[1])
+            except ValueError:
+                fail(lineno, f"non-integer vertex id in {raw.strip()!r}")
+            if t not in adj:
+                fail(lineno, f"vertex {t} out of range 1..{declared_n}")
+            if t in terminals:
+                fail(lineno, f"duplicate terminal {t}")
+            terminals.add(t)
+        elif tag[0] == "c":
+            continue
+        elif tag == "p":
+            line = raw.strip()
+            if adj is not None:
                 fail(lineno, "duplicate problem line")
             if len(fields) != 5 or fields[1] != "sfvs":
                 fail(lineno, f"expected 'p sfvs <n> <m> <k>', got {line!r}")
@@ -411,41 +469,20 @@ def parse_instance(text: str) -> Instance:
                 fail(lineno, "negative vertex or edge count")
             if declared_n > MAX_DECLARED_VERTICES:
                 fail(lineno, f"{declared_n} vertices exceed the cap {MAX_DECLARED_VERTICES}")
-            graph = Graph(range(1, declared_n + 1))
-        elif tag in ("e", "t"):
-            if graph is None:
-                fail(lineno, f"'{tag}' line before the problem line")
-            want = 3 if tag == "e" else 2
-            if len(fields) != want:
-                fail(lineno, f"malformed '{tag}' line {line!r}")
-            try:
-                ids = [int(x) for x in fields[1:]]
-            except ValueError:
-                fail(lineno, f"non-integer vertex id in {line!r}")
-            for v in ids:
-                if not 1 <= v <= declared_n:
-                    fail(lineno, f"vertex {v} out of range 1..{declared_n}")
-            if tag == "e":
-                u, v = ids
-                if u == v:
-                    fail(lineno, f"self-loop at {u}")
-                if graph.has_edge(u, v):
-                    fail(lineno, f"duplicate edge ({u}, {v})")
-                graph.add_edge(u, v)
-                edges_read += 1
-            else:
-                if ids[0] in terminals:
-                    fail(lineno, f"duplicate terminal {ids[0]}")
-                terminals.add(ids[0])
+            adj = {v: set() for v in range(1, declared_n + 1)}
         else:
             fail(lineno, f"unknown line type {tag!r}")
 
-    if graph is None:
+    if adj is None:
         raise ParseError("line 0: missing problem line")
+    # duplicates were refused, so every edge read added two set members
+    edges_read = sum(map(len, adj.values())) // 2
     if edges_read != declared_m:
         raise ParseError(
             f"line 0: problem line declares {declared_m} edges, found {edges_read}"
         )
+    graph = Graph.__new__(Graph)
+    graph._adj = adj
     return Instance(graph, terminals, k)
 
 

@@ -141,7 +141,7 @@ def rule_yes_no(state: KernelState) -> TraceEntry | None:
 def rule_delete_isolates(state: KernelState) -> TraceEntry | None:
     """Delete every isolated vertex; an isolate lies on no cycle."""
     g = state.instance.graph
-    isolated = [v for v in g.vertices() if g.degree(v) == 0]
+    isolated = [v for v, nbrs in g.adjacency() if not nbrs]
     if not isolated:
         return None
     return make_entry("delete-isolated", deleted_vertices=isolated)
@@ -156,7 +156,8 @@ def pendant_edges(g: Graph, indep_side: set[int]) -> list[tuple[int, int]]:
     (u, i) with i of degree at least 2 lies on a triangle with i's other
     neighbour, which is on the clique side too.  A pendant edge is a bridge.
     """
-    return [(next(iter(g.neighbors(i))), i) for i in indep_side if g.degree(i) == 1]
+    adj = g.adjacency()
+    return [(next(iter(nbrs)), i) for i, nbrs in adj if len(nbrs) == 1 and i in indep_side]
 
 
 def rule_pick_clique_terminals(state: KernelState) -> TraceEntry | None:

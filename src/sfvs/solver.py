@@ -85,7 +85,7 @@ def safe_deletion(
     kernel reads them off its split partition as pendant edges.
     """
     g, terminals = inst.graph, inst.terminals
-    lonely = [v for v in g.vertices() if v not in terminals and not (g.neighbors(v) & terminals)]
+    lonely = [v for v, nbrs in g.adjacency() if v not in terminals and terminals.isdisjoint(nbrs)]
     if lonely:
         return make_entry("no-terminal-neighbor", deleted_vertices=lonely)
     # resolved per call, not bound as a default, so rebinding the module's

@@ -10,7 +10,7 @@ from __future__ import annotations
 import random
 from itertools import combinations
 
-from sfvs.graph import Graph, Instance, edge_key
+from sfvs.graph import MAX_DECLARED_VERTICES, Graph, Instance, ParseError, edge_key
 
 
 def subsets(items, min_size=0, max_size=None):
@@ -120,6 +120,96 @@ def mcs_visit_order(g: Graph) -> list[int]:
             if w not in visited:
                 weight[w] += 1
     return order
+
+
+def isolated_vertices(g: Graph) -> list[int]:
+    """Vertices of degree 0, sorted."""
+    return [v for v in g.vertices() if g.degree(v) == 0]
+
+
+def lonely_vertices(g: Graph, terminals) -> list[int]:
+    """Non-terminals none of whose neighbours is a terminal, sorted."""
+    return [
+        v for v in g.vertices()
+        if v not in terminals and not any(w in terminals for w in g.neighbors(v))
+    ]
+
+
+def pendant_edges(g: Graph, indep_side) -> set[tuple[int, int]]:
+    """Edges whose independent-side end has degree 1, as sorted pairs."""
+    return {edge_key(u, i) for i in indep_side for u in g.neighbors(i) if g.degree(i) == 1}
+
+
+def parse_instance(text: str) -> Instance:
+    """The per-line instance parser, kept as the reference: it builds the
+    graph through Graph.add_vertex/add_edge and range-checks ids numerically.
+    Same accepted texts, same instances and same ParseError messages as
+    sfvs.graph.parse_instance."""
+    graph: Graph | None = None
+    terminals: set[int] = set()
+    declared_m = 0
+    declared_n = 0
+    k = 0
+    edges_read = 0
+
+    def fail(lineno: int, msg: str) -> None:
+        raise ParseError(f"line {lineno}: {msg}")
+
+    for lineno, raw in enumerate(text.splitlines(), start=1):
+        line = raw.strip()
+        if not line or line.startswith("c"):
+            continue
+        fields = line.split()
+        tag = fields[0]
+        if tag == "p":
+            if graph is not None:
+                fail(lineno, "duplicate problem line")
+            if len(fields) != 5 or fields[1] != "sfvs":
+                fail(lineno, f"expected 'p sfvs <n> <m> <k>', got {line!r}")
+            try:
+                declared_n, declared_m, k = (int(x) for x in fields[2:])
+            except ValueError:
+                fail(lineno, f"non-integer field in problem line {line!r}")
+            if declared_n < 0 or declared_m < 0:
+                fail(lineno, "negative vertex or edge count")
+            if declared_n > MAX_DECLARED_VERTICES:
+                fail(lineno, f"{declared_n} vertices exceed the cap {MAX_DECLARED_VERTICES}")
+            graph = Graph(range(1, declared_n + 1))
+        elif tag in ("e", "t"):
+            if graph is None:
+                fail(lineno, f"'{tag}' line before the problem line")
+            want = 3 if tag == "e" else 2
+            if len(fields) != want:
+                fail(lineno, f"malformed '{tag}' line {line!r}")
+            try:
+                ids = [int(x) for x in fields[1:]]
+            except ValueError:
+                fail(lineno, f"non-integer vertex id in {line!r}")
+            for v in ids:
+                if not 1 <= v <= declared_n:
+                    fail(lineno, f"vertex {v} out of range 1..{declared_n}")
+            if tag == "e":
+                u, v = ids
+                if u == v:
+                    fail(lineno, f"self-loop at {u}")
+                if graph.has_edge(u, v):
+                    fail(lineno, f"duplicate edge ({u}, {v})")
+                graph.add_edge(u, v)
+                edges_read += 1
+            else:
+                if ids[0] in terminals:
+                    fail(lineno, f"duplicate terminal {ids[0]}")
+                terminals.add(ids[0])
+        else:
+            fail(lineno, f"unknown line type {tag!r}")
+
+    if graph is None:
+        raise ParseError("line 0: missing problem line")
+    if edges_read != declared_m:
+        raise ParseError(
+            f"line 0: problem line declares {declared_m} edges, found {edges_read}"
+        )
+    return Instance(graph, terminals, k)
 
 
 def mcs_maximal_cliques(g: Graph) -> list[frozenset[int]]:

@@ -105,6 +105,25 @@ class TestBridges:
             g = brute.random_graph(rng.randint(1, 8), rng.random(), rng)
             assert find_bridges(g) == brute.bridges(g)
 
+    def test_insertion_order_does_not_change_bridges(self):
+        # the DFS walks the adjacency sets unsorted, so build each graph over
+        # scattered ids (small sets then iterate in insertion order on hash
+        # collisions) with shuffled vertex and edge insertion order
+        nx = pytest.importorskip("networkx")
+        rng = random.Random(1011)
+        for _ in range(300):
+            base = brute.random_graph(rng.randint(1, 9), rng.random(), rng)
+            ids = dict(zip(base.vertices(), rng.sample(range(1, 10_000), base.n)))
+            es = [(ids[u], ids[v]) for u, v in base.edges()]
+            want = {edge_key(ids[u], ids[v]) for u, v in brute.bridges(base)}
+            assert want == {edge_key(u, v) for u, v in nx.bridges(nx.Graph(es))}
+            for _ in range(3):
+                vs = list(ids.values())
+                rng.shuffle(vs)
+                rng.shuffle(es)
+                g = graph_of(*(e if rng.random() < 0.5 else e[::-1] for e in es), isolated=vs)
+                assert find_bridges(g) == want
+
 
 class TestTriangleQueries:
     def test_k4_triangles_through_terminal(self):
@@ -274,26 +293,115 @@ class TestInstanceFormat:
         assert inst.terminals == {3} and inst.k == 2
 
     @pytest.mark.parametrize(
-        "text,fragment",
+        "text,message",
         [
-            ("e 1 2\n", "before the problem line"),
-            ("p sfvs 2 1 0\ne 1 3\n", "out of range"),
-            ("p sfvs 2 1 0\ne 1 1\n", "self-loop"),
-            ("p sfvs 2 2 0\ne 1 2\ne 2 1\n", "duplicate edge"),
-            ("p sfvs 2 0 0\nt 1\nt 1\n", "duplicate terminal"),
-            ("p sfvs 2 3 0\ne 1 2\n", "declares 3 edges"),
-            ("p sfvs 2 0 0\np sfvs 2 0 0\n", "duplicate problem line"),
-            ("p sfvs 2 0 0\nx 1\n", "unknown line type"),
-            ("p sfvs a 0 0\n", "non-integer"),
-            ("p sfvs 1000000000000 0 0\n", "exceed the cap"),
-            ("", "missing problem line"),
+            pytest.param(text, message, id=f"{text}-{label}")
+            for text, label, message in [
+                ("e 1 2\n", "before the problem line", "line 1: 'e' line before the problem line"),
+                ("t 1\np sfvs 2 0 0\n", "t before p", "line 1: 't' line before the problem line"),
+                ("p sfvs 2 1 0\ne 1 3\n", "out of range", "line 2: vertex 3 out of range 1..2"),
+                ("p sfvs 2 1 0\ne 3 1\n", "first out of range", "line 2: vertex 3 out of range 1..2"),
+                ("p sfvs 2 1 0\ne 1 -2\n", "negative id", "line 2: vertex -2 out of range 1..2"),
+                ("p sfvs 2 0 0\nt 3\n", "terminal out of range", "line 2: vertex 3 out of range 1..2"),
+                ("p sfvs 2 0 0\nt 0\n", "terminal zero", "line 2: vertex 0 out of range 1..2"),
+                ("p sfvs 2 1 0\ne 1 1\n", "self-loop", "line 2: self-loop at 1"),
+                ("p sfvs 2 2 0\ne 1 2\ne 2 1\n", "duplicate edge", "line 3: duplicate edge (2, 1)"),
+                ("p sfvs 2 0 0\nt 1\nt 1\n", "duplicate terminal", "line 3: duplicate terminal 1"),
+                ("p sfvs 2 3 0\ne 1 2\n", "declares 3 edges", "line 0: problem line declares 3 edges, found 1"),
+                ("p sfvs 2 0 0\np sfvs 2 0 0\n", "duplicate problem line", "line 2: duplicate problem line"),
+                ("p sfvs 2 0 0\nx 1\n", "unknown line type", "line 2: unknown line type 'x'"),
+                ("p sfvs a 0 0\n", "non-integer", "line 1: non-integer field in problem line 'p sfvs a 0 0'"),
+                ("p sfvs 1000000000000 0 0\n", "exceed the cap", "line 1: 1000000000000 vertices exceed the cap 1000000"),
+                ("", "missing problem line", "line 0: missing problem line"),
+                ("c only a comment\n", "comment only", "line 0: missing problem line"),
+                ("p sfvs 2 1 0\ne 1\n", "e with 2 fields", "line 2: malformed 'e' line 'e 1'"),
+                ("p sfvs 2 1 0\ne 1 2 3\n", "e with 4 fields", "line 2: malformed 'e' line 'e 1 2 3'"),
+                ("p sfvs 2 0 0\nt 1 2\n", "t with 3 fields", "line 2: malformed 't' line 't 1 2'"),
+                ("p sfvs 2 1 0\ne 1 x\n", "non-integer e", "line 2: non-integer vertex id in 'e 1 x'"),
+                ("p sfvs 2 0 0\nt x\n", "non-integer t", "line 2: non-integer vertex id in 't x'"),
+                ("p sfvs -1 0 0\n", "negative n", "line 1: negative vertex or edge count"),
+                ("p sfvs 2 -1 0\n", "negative m", "line 1: negative vertex or edge count"),
+                ("p sfvs 2 0\n", "p with 4 fields", "line 1: expected 'p sfvs <n> <m> <k>', got 'p sfvs 2 0'"),
+                ("p sfvs 2 0 0 0\n", "p with 6 fields", "line 1: expected 'p sfvs <n> <m> <k>', got 'p sfvs 2 0 0 0'"),
+                ("p fvs 2 0 0\n", "other format", "line 1: expected 'p sfvs <n> <m> <k>', got 'p fvs 2 0 0'"),
+                # the quoted line is stripped at its ends only
+                ("p sfvs 2 1 0\n  e  1   x  \n", "spacing kept", "line 2: non-integer vertex id in 'e  1   x'"),
+                # skipped blank, indented and comment lines still count
+                ("c x\n\np sfvs 2 0 0\n  x\n", "skipped lines count", "line 4: unknown line type 'x'"),
+                ("p sfvs 2 0 0\n \t\n  cq\nt 2\ny\n", "indented comment", "line 5: unknown line type 'y'"),
+            ]
         ],
     )
-    def test_parse_errors(self, text, fragment):
+    def test_parse_errors(self, text, message):
         with pytest.raises(ParseError) as err:
             parse_instance(text)
-        assert fragment in str(err.value)
-        assert "line" in str(err.value)
+        assert str(err.value) == message
+
+    def test_skipped_lines(self):
+        # blank lines and lines whose first field starts with "c" are skipped,
+        # indented or not; other lines may be indented too
+        text = "c head\n   c indented\ncomment\n\n \t \np sfvs 3 2 -1\n  e 1 2\n\te 2 3\n  t 3  \nc tail\n"
+        inst = parse_instance(text)
+        assert inst.graph.vertices() == [1, 2, 3]
+        assert inst.graph.edges() == [(1, 2), (2, 3)]
+        assert inst.terminals == {3} and inst.k == -1
+
+    def test_matches_reference_parser_on_mutated_texts(self):
+        # every formatted instance, with zero or one line mutated, must give
+        # the reference parser's instance or its exact error message
+        rng = random.Random(1010)
+        garbled = ["x", "1.5", "", "-1", "0", "+2", "0x1", "1_0", "\u0663", "99999999999999999999"]
+
+        def mutate(lines, n):
+            i = rng.randrange(len(lines))
+            fields = lines[i].split()
+            kind = rng.randrange(9)
+            if kind == 0 and fields:
+                del fields[rng.randrange(len(fields))]
+            elif kind == 1:
+                fields.insert(rng.randint(0, len(fields)), rng.choice(["1", "sfvs", "e", "z"]))
+            elif kind == 2 and len(fields) > 1:
+                fields[rng.randrange(1, len(fields))] = rng.choice(garbled)
+            elif kind == 3 and len(fields) > 1:
+                fields[rng.randrange(1, len(fields))] = str(rng.choice([0, -1, n + 1, n + 7]))
+            elif kind == 4 and fields:
+                fields[0] = rng.choice(["e", "t", "p", "c", "cx", "x", "ee", "E"])
+            elif kind == 5:
+                lines.insert(rng.randint(0, len(lines)), lines[i])
+                return lines
+            elif kind == 6:
+                filler = rng.choice(["", "   ", "\t", "c note", "  c indented", "comment", "c"])
+                lines.insert(rng.randint(0, len(lines)), filler)
+                return lines
+            elif kind == 7:
+                lines[i] = rng.choice(["  ", "\t", " "]) + lines[i] + rng.choice(["", " ", "\t"])
+                return lines
+            else:
+                lines.insert(rng.randint(0, len(lines)), lines.pop(i))
+                return lines
+            lines[i] = " ".join(fields)
+            return lines
+
+        accepted = rejected = 0
+        for i in range(2400):
+            inst = brute.random_instance(rng.randint(0, 8), rng.random(), 0.4, rng.randint(-1, 5), rng)
+            lines = format_instance(inst).splitlines()
+            if i % 6:
+                lines = mutate(lines, inst.graph.n)
+            text = "\n".join(lines) + rng.choice(["\n", "", "\r\n"])
+            try:
+                want = brute.parse_instance(text)
+            except ParseError as err:
+                with pytest.raises(ParseError) as got:
+                    parse_instance(text)
+                assert str(got.value) == str(err), text
+                rejected += 1
+                continue
+            got = parse_instance(text)
+            assert got.graph == want.graph, text
+            assert got.terminals == want.terminals and got.k == want.k, text
+            accepted += 1
+        assert accepted >= 600 and rejected >= 600
 
     def test_round_trip_random(self):
         rng = random.Random(1005)

@@ -7,7 +7,7 @@ import pytest
 import brute
 from sfvs.chordal import NotSplitError
 from sfvs.generators import GenSpec, generate
-from sfvs.graph import Graph, Instance, find_bridges
+from sfvs.graph import Graph, Instance, edge_key, find_bridges
 from sfvs.kernel import (
     KernelState,
     bipartite_around,
@@ -15,8 +15,11 @@ from sfvs.kernel import (
     kernel_state,
     kernel_step,
     kernelize,
+    pendant_edges,
+    rule_delete_isolates,
 )
 from sfvs.oracle import oracle_decide, vc_to_sfvs
+from sfvs.solver import safe_deletion
 from sfvs.trace import RuleTrace, replay
 
 
@@ -247,6 +250,36 @@ class TestRuleFirings:
                 if isinstance(out, str):
                     break
         assert fired >= 100 and later >= 300
+
+    def test_sweeps_match_definitions_at_every_step(self):
+        # the isolated, lonely and pendant sweeps read the adjacency sets in
+        # no fixed order; at every state they must list what the definitions do
+        rng = random.Random(49)
+        seen = {"isolated": 0, "lonely": 0, "pendant": 0}
+        for _ in range(1500):
+            state = kernel_state(random_split_instance(rng))
+            while True:
+                g, terminals = state.instance.graph, state.instance.terminals
+                isolated = brute.isolated_vertices(g)
+                step = rule_delete_isolates(state)
+                assert (step.deleted_vertices if step else ()) == tuple(isolated)
+                lonely = brute.lonely_vertices(g, terminals)
+                pendant = pendant_edges(g, state.indep_side)
+                assert len(pendant) == len(set(pendant))
+                assert {edge_key(*e) for e in pendant} == brute.pendant_edges(g, state.indep_side)
+                step = safe_deletion(state.instance, lambda _: pendant)
+                if lonely:
+                    assert step.rule == "no-terminal-neighbor"
+                    assert step.deleted_vertices == tuple(lonely)
+                else:
+                    assert step is None or step.rule == "delete-bridge"
+                seen["isolated"] += bool(isolated)
+                seen["lonely"] += bool(lonely)
+                seen["pendant"] += bool(pendant)
+                out = kernel_step(state)
+                if out is None or isinstance(out, str):
+                    break
+        assert min(seen.values()) >= 100, seen
 
     def test_pick_clique_terminal(self):
         inst = covered_triangle_base({3, 4, 5, 6}, 1)
